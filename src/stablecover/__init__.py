@@ -28,6 +28,7 @@ from .geometry import (
 from .static_solver import (
     Solution,
     SolverBudgetError,
+    SolverInvariantError,
     SolverKind,
     candidate_disks,
     solve,
@@ -61,6 +62,7 @@ __all__ = [
     "Point",
     "Solution",
     "SolverBudgetError",
+    "SolverInvariantError",
     "SolverKind",
     "StreamError",
     "Swap",

@@ -64,9 +64,6 @@ class ExactMaintainer:
     def solution(self) -> list[UnitDisk]:
         return list(self.disks)
 
-    def value(self) -> int:
-        return solve(self.points, self.m, self.kind).value
-
 
 class NoOpMaintainer:
     """Never changes its disks; the churn-zero control."""

@@ -17,10 +17,12 @@ from .sas_engine import (
     UpdateReport,
     _multiset_churn,
     apply_event,
+    atomic,
 )
 from .static_solver import solve
 
 
+@atomic
 def update2(state: EngineState, op: str, p: Point) -> UpdateReport:
     cfg = state.config
     state.t += 1

@@ -29,7 +29,7 @@ from .adversary.streams import (
     solve_hitting,
 )
 from .geometry import Point, coverage_value
-from .sas_engine import EngineConfig, EngineState
+from .sas_engine import EngineConfig, EngineState, within_ratio
 from .static_solver import SolverKind, solve
 
 REPORT_HEADER = "t,op,alg_value,opt_value,ratio,churn,branch"
@@ -172,6 +172,7 @@ def _check(condition: bool, message: str) -> None:
 
 def run_points(config: RunConfig, events: list[tuple[str, Point]]) -> list[str]:
     rows = []
+    epsilon = Fraction(str(config.epsilon))
     points: set[Point] = set()
     if config.engine == "exact_maintainer":
         maintainer = ExactMaintainer(config.m, config.solver)
@@ -209,7 +210,7 @@ def run_points(config: RunConfig, events: list[tuple[str, Point]]) -> list[str]:
             _check(report.churn == churn, f"churn recount mismatch at t={t}")
         if config.engine == "sas":
             _check(
-                opt <= (1.0 + config.epsilon) * alg,
+                within_ratio(opt, alg, epsilon),
                 f"ratio invariant failed at t={t}: opt={opt} alg={alg}",
             )
         elif config.engine == "two_stable":

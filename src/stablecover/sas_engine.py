@@ -10,10 +10,12 @@ swap is re-verified by direct recount, never trusted from construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 
 from .geometry import (
     Assignment,
@@ -78,6 +80,8 @@ class EngineConfig:
     grid_shifts: int | None = None
     grid_edge: float | None = None
     node_budget: int = 5_000_000
+    # epsilon as the exact decimal it was written as, for the ratio test.
+    epsilon_exact: Fraction = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -85,6 +89,7 @@ class EngineConfig:
         if not 0.0 < self.epsilon < 0.5:
             raise ValueError("epsilon must lie in (0, 1/2)")
         eps = self.epsilon
+        self.epsilon_exact = Fraction(str(eps))
         if self.trivial_threshold is None:
             self.trivial_threshold = math.ceil(1.0 / eps**3)
         if self.extend is None:
@@ -177,7 +182,8 @@ class Swap:
     branch: Branch
 
     def __post_init__(self) -> None:
-        assert len(self.s_new) <= len(self.s_old)
+        if len(self.s_new) > len(self.s_old):
+            raise EngineInvariantError("swap adds more disks than it removes")
 
 
 @dataclass
@@ -219,7 +225,8 @@ def prefix_balanced_order(items, bound: int):
     running = 0
     for it in order:
         running += it[1] - it[2]
-        assert abs(running) <= bound
+        if abs(running) > bound:
+            raise EngineInvariantError(f"prefix imbalance {running} exceeds {bound}")
     return [it[0] for it in order]
 
 
@@ -329,7 +336,8 @@ def pad_opt(
     are never assigned points.
     """
     need = m - len(internal_opt_disks)
-    assert need >= 0
+    if need < 0:
+        raise EngineInvariantError("internal optimum holds more than m disks")
     if need == 0:
         return []
     col = math.floor((0.0 - grid.offset_x) / grid.edge)
@@ -345,6 +353,11 @@ def pad_opt(
             taken.add(cell)
         row -= 1
     return dummies
+
+
+def within_ratio(opt: int, alg: int, epsilon: Fraction) -> bool:
+    """``opt <= (1 + epsilon) * alg``, compared exactly."""
+    return opt * epsilon.denominator <= (epsilon.denominator + epsilon.numerator) * alg
 
 
 def _multiset_churn(old: list[UnitDisk], new: list[UnitDisk]) -> int:
@@ -561,7 +574,10 @@ def apply_swap(state: EngineState, swap: Swap) -> int:
         new_disks += [
             UnitDisk(Point(0.0, base - 10.0 - 3.0 * i)) for i in range(deficit)
         ]
-    assert len(new_disks) == cfg.m
+    if len(new_disks) != cfg.m:
+        raise EngineInvariantError(
+            f"swap leaves {len(new_disks)} disks, not m={cfg.m}"
+        )
     prev_value = state.alg_value
     state.disks = new_disks
     state.assignment = assign_points(state.points, state.disks)
@@ -572,6 +588,23 @@ def apply_swap(state: EngineState, swap: Swap) -> int:
     return _multiset_churn(old, new_disks)
 
 
+def atomic(step):
+    """Make an engine step all-or-nothing: if it raises, ``t``, the points,
+    the disks and the assignment are put back as they were before the call."""
+
+    @functools.wraps(step)
+    def wrapper(state: EngineState, op: str, p: Point) -> UpdateReport:
+        saved = (state.t, set(state.points), state.disks, dict(state.assignment))
+        try:
+            return step(state, op, p)
+        except BaseException:
+            state.t, state.points, state.disks, state.assignment = saved
+            raise
+
+    return wrapper
+
+
+@atomic
 def update(state: EngineState, op: str, p: Point) -> UpdateReport:
     """One dynamic update; repairs the solution only when the ratio check fails."""
     cfg = state.config
@@ -580,7 +613,7 @@ def update(state: EngineState, op: str, p: Point) -> UpdateReport:
     cur = state.alg_value
     opt_sol = solve(state.points, cfg.m, cfg.solver, cfg.node_budget)
 
-    if opt_sol.value <= (1.0 + cfg.epsilon) * cur:
+    if within_ratio(opt_sol.value, cur, cfg.epsilon_exact):
         churn = 0
         branch = Branch.NO_CHANGE
     elif cfg.m <= cfg.trivial_threshold:
@@ -592,8 +625,11 @@ def update(state: EngineState, op: str, p: Point) -> UpdateReport:
         churn = apply_swap(state, swap)
         branch = swap.branch
 
-    assert len(state.disks) == cfg.m
-    if opt_sol.value > (1.0 + cfg.epsilon) * state.alg_value:
+    if len(state.disks) != cfg.m:
+        raise EngineInvariantError(
+            f"{len(state.disks)} disks after t={state.t}, not m={cfg.m}"
+        )
+    if not within_ratio(opt_sol.value, state.alg_value, cfg.epsilon_exact):
         raise EngineInvariantError(
             f"approximation ratio violated at t={state.t}: "
             f"opt={opt_sol.value} alg={state.alg_value}"

@@ -2,16 +2,27 @@
 
 ``solve`` offers an exact branch-and-bound (deterministic: among equal-value
 optima it returns the lexicographically smallest candidate-index set) and a
-greedy fallback with the usual (1 - 1/e) guarantee.  The mask-based search
-core is shared with the line-hitting solver in :mod:`stablecover.adversary`.
+greedy fallback with the usual (1 - 1/e) guarantee.
+
+The exact search has two phases that draw on one node budget: a value search
+over the distinct coverage masks, then the extraction of the canonical index
+set, which continues the same node count.  ``solve`` computes candidates,
+masks and the value eagerly; the returned :class:`Solution` builds its disks
+and assignment only when one of them is first read.  A caller that reads only
+``value`` never runs extraction, so a value-only solve can succeed where both
+phases together exhaust the budget: on one draw of 200 uniform points in a
+10x10 box at ``m=4`` the value search takes 12.6k nodes and extraction more
+than 5M.  Both phases are explicit-stack loops whose depth is bounded by
+``m``, never by the number of masks.  The mask-based search core is shared with the line-hitting
+solver in :mod:`stablecover.adversary`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .geometry import Assignment, Point, UnitDisk, assign_points, covers
 
@@ -25,14 +36,54 @@ class SolverBudgetError(Exception):
     """Exact search exceeded its node budget."""
 
 
-@dataclass
-class Solution:
-    disks: list[UnitDisk]
-    assignment: Assignment
-    value: int
+class SolverInvariantError(Exception):
+    """A solver guarantee failed; indicates a bug."""
 
-    def __post_init__(self) -> None:
-        assert self.value == len(self.assignment)
+
+class Solution:
+    """An oracle optimum: ``value`` now, ``disks`` and ``assignment`` on first read.
+
+    ``pick`` returns the chosen candidate indices; for the exact oracle it
+    runs the extraction phase, which may raise :class:`SolverBudgetError`.
+    The disks are the picked candidates padded to ``m`` with point-free disks.
+    """
+
+    def __init__(
+        self,
+        value: int,
+        points: list[Point],
+        candidates: list[UnitDisk],
+        m: int,
+        pick: Callable[[], list[int]],
+    ) -> None:
+        self.value = value
+        self._points = points
+        self._candidates = candidates
+        self._m = m
+        self._pick = pick
+        self._built: tuple[list[UnitDisk], Assignment] | None = None
+
+    @property
+    def disks(self) -> list[UnitDisk]:
+        return self._build()[0]
+
+    @property
+    def assignment(self) -> Assignment:
+        return self._build()[1]
+
+    def _build(self) -> tuple[list[UnitDisk], Assignment]:
+        if self._built is None:
+            disks = [self._candidates[i] for i in self._pick()]
+            if len(disks) < self._m:
+                min_y = min((p.y for p in self._points), default=0.0)
+                disks += pad_disks(self._m - len(disks), min_y)
+            assignment = assign_points(self._points, disks)
+            if len(assignment) != self.value:
+                raise SolverInvariantError(
+                    f"solution value {self.value} but its disks cover {len(assignment)}"
+                )
+            self._built = (disks, assignment)
+        return self._built
 
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -152,92 +203,112 @@ def max_coverage_masks(
     The value search runs over distinct masks only; the returned index set is
     extracted from the full list, so equal-coverage duplicates may legitimately
     appear in it.  Returns the value and the chosen ascending index list of
-    size ``min(m, len(masks))``.
+    size ``min(m, len(masks))``.  Both phases draw on one ``node_budget``.
+    """
+    best, nodes = _best_value(masks, m, node_budget)
+    return best, _extract(masks, m, best, nodes, node_budget)
+
+
+def _budget_error(node_budget: int) -> SolverBudgetError:
+    return SolverBudgetError(f"exceeded {node_budget} search nodes")
+
+
+def _best_value(masks: list[int], m: int, node_budget: int) -> tuple[int, int]:
+    """Phase 1: the largest union of ``m`` masks and the search nodes it took.
+
+    Branch and bound over the distinct masks sorted by coverage (descending,
+    ties by first occurrence).  Each node takes the next mask before skipping
+    it; a skip waits on the stack until the take's subtree is done, so the
+    stack holds at most one entry per taken mask.
     """
     if m <= 0 or not masks:
-        return 0, []
-    seen: set[int] = set()
-    idxs: list[int] = []
-    for i, mk in enumerate(masks):
-        if mk not in seen:
-            seen.add(mk)
-            idxs.append(i)
-    m = min(m, len(masks))
-    uni = [masks[i] for i in idxs]
-    pops = [mk.bit_count() for mk in uni]
-    total_mask = 0
-    for mk in uni:
-        total_mask |= mk
-    total = total_mask.bit_count()
-    n = len(uni)
+        return 0, 0
+    ordered = sorted(dict.fromkeys(masks), key=lambda mk: -mk.bit_count())
+    n = len(ordered)
+    prefix = [0]
+    union = 0
+    for mk in ordered:
+        prefix.append(prefix[-1] + mk.bit_count())
+        union |= mk
+    total = union.bit_count()
 
-    nodes = 0
-
-    def spend() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise SolverBudgetError(f"exceeded {node_budget} search nodes")
-
-    # Phase 1: best value over masks sorted by coverage (descending).
-    order = sorted(range(n), key=lambda i: (-pops[i], i))
-    sorted_masks = [uni[i] for i in order]
-    sorted_pops = [pops[i] for i in order]
-    prefix = [0] * (n + 1)
-    for i in range(n):
-        prefix[i + 1] = prefix[i] + sorted_pops[i]
-
-    best = 0
-
-    def search(pos: int, slots: int, mask: int, val: int) -> None:
-        nonlocal best
-        spend()
-        if val > best:
-            best = val
-        if slots == 0 or pos == n or best == total:
-            return
-        hi = min(pos + slots, n)
-        if val + prefix[hi] - prefix[pos] <= best:
-            return
-        gain_mask = sorted_masks[pos] & ~mask
-        if gain_mask:
-            search(pos + 1, slots - 1, mask | gain_mask, val + gain_mask.bit_count())
-        search(pos + 1, slots, mask, val)
-
-    search(0, m, 0, 0)
-
-    # Phase 2: lexicographically first index set (over the full, undeduped
-    # list) hitting the optimum.  Zero-marginal picks are allowed; both they
-    # and duplicates can appear in the lexicographically smallest optimum.
-    full_n = len(masks)
-    full_pops = [mk.bit_count() for mk in masks]
-    top_m_after: list[list[int]] = [[] for _ in range(full_n + 1)]
-    for i in range(full_n - 1, -1, -1):
-        merged = sorted(top_m_after[i + 1] + [full_pops[i]], reverse=True)[:m]
-        top_m_after[i] = merged
-    suffix_sum = [sum(t) for t in top_m_after]
-    suffix_top = [_prefix_sums(t) for t in top_m_after]
-
-    chosen: list[int] = []
-
-    def extract(pos: int, slots: int, mask: int, val: int) -> bool:
-        spend()
-        if slots == 0:
-            return val == best
-        for i in range(pos, full_n - slots + 1):
-            cap = suffix_top[i][slots] if slots < len(suffix_top[i]) else suffix_sum[i]
-            if val + cap < best:
+    best = nodes = 0
+    stack = [(0, min(m, len(masks)), 0, 0)]  # (position, slots, union, value)
+    while stack:
+        pos, slots, mask, val = stack.pop()
+        while True:
+            nodes += 1
+            if nodes > node_budget:
+                raise _budget_error(node_budget)
+            if val > best:
+                best = val
+            if slots == 0 or pos == n or best == total:
                 break
-            nm = mask | masks[i]
-            if extract(i + 1, slots - 1, nm, nm.bit_count()):
-                chosen.append(i)
-                return True
-        return False
+            if val + prefix[min(pos + slots, n)] - prefix[pos] <= best:
+                break
+            gain = ordered[pos] & ~mask
+            pos += 1
+            if gain:
+                stack.append((pos, slots, mask, val))
+                mask |= gain
+                val += gain.bit_count()
+                slots -= 1
+    return best, nodes
 
-    ok = extract(0, m, 0, 0)
-    assert ok, "extraction must succeed once the optimum value is known"
-    chosen.reverse()
-    return best, chosen
+
+def _extract(
+    masks: list[int], m: int, best: int, nodes: int, node_budget: int
+) -> list[int]:
+    """Phase 2: the lexicographically first index set whose union is ``best``.
+
+    Runs over the full, undeduped list: zero-marginal picks and duplicates
+    can both appear in the lexicographically smallest optimum.  The count
+    continues from the ``nodes`` phase 1 spent, under the same budget.  The
+    chosen prefix is the explicit stack; a branch is cut once its union plus
+    the largest ``slots`` coverages from its next index cannot reach ``best``.
+    """
+    if m <= 0 or not masks:
+        return []
+    full_n = len(masks)
+    m = min(m, full_n)
+    top_after: list[list[int]] = [[] for _ in range(full_n + 1)]
+    for i in range(full_n - 1, -1, -1):
+        merged = top_after[i + 1] + [masks[i].bit_count()]
+        top_after[i] = sorted(merged, reverse=True)[:m]
+    # caps[i][s]: the s largest coverages among indices i.. (s <= full_n - i).
+    caps = [_prefix_sums(t) for t in top_after]
+
+    nodes += 1
+    if nodes > node_budget:
+        raise _budget_error(node_budget)
+    chosen: list[int] = []
+    frames = [(0, 0)]  # union and its size after each chosen prefix
+    i = 0
+    while True:
+        slots = m - len(chosen)
+        mask, val = frames[-1]
+        while i <= full_n - slots and val + caps[i][slots] >= best:
+            nm = mask | masks[i]
+            nodes += 1
+            if nodes > node_budget:
+                raise _budget_error(node_budget)
+            if slots == 1:
+                if nm.bit_count() == best:
+                    chosen.append(i)
+                    return chosen
+                i += 1
+                continue
+            chosen.append(i)
+            frames.append((nm, nm.bit_count()))
+            i += 1
+            break
+        else:  # no child left at this depth: backtrack
+            if not chosen:
+                raise SolverInvariantError(
+                    "extraction must succeed once the optimum value is known"
+                )
+            i = chosen.pop() + 1
+            frames.pop()
 
 
 def _prefix_sums(values: list[int]) -> list[int]:
@@ -247,7 +318,8 @@ def _prefix_sums(values: list[int]) -> list[int]:
     return out
 
 
-def _greedy_masks(masks: list[int], m: int) -> list[int]:
+def _greedy_masks(masks: list[int], m: int) -> tuple[int, list[int]]:
+    """Greedy max coverage: the union size and the chosen indices."""
     chosen: list[int] = []
     covered = 0
     used: set[int] = set()
@@ -270,7 +342,7 @@ def _greedy_masks(masks: list[int], m: int) -> list[int]:
         chosen.append(best_i)
         used.add(best_i)
         covered |= masks[best_i]
-    return chosen
+    return covered.bit_count(), chosen
 
 
 def solve(
@@ -279,19 +351,23 @@ def solve(
     kind: SolverKind = SolverKind.EXACT,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Solution:
-    """Best coverage of ``points`` by ``m`` unit disks under the given oracle."""
+    """Best coverage of ``points`` by ``m`` unit disks under the given oracle.
+
+    The value is computed here; the disks and assignment when first read.
+    """
     if m < 1:
         raise ValueError("m must be at least 1")
     pts = sorted(set(points))
     cands = candidate_disks(pts)
     masks = coverage_masks(pts, cands)
     if kind is SolverKind.EXACT:
-        _, indices = max_coverage_masks(masks, m, node_budget)
+        value, nodes = _best_value(masks, m, node_budget)
+
+        def pick() -> list[int]:
+            return _extract(masks, m, value, nodes, node_budget)
     else:
-        indices = _greedy_masks(masks, m)
-    disks = [cands[i] for i in indices]
-    if len(disks) < m:
-        min_y = min((p.y for p in pts), default=0.0)
-        disks += pad_disks(m - len(disks), min_y)
-    assignment = assign_points(pts, disks)
-    return Solution(disks=disks, assignment=assignment, value=len(assignment))
+        value, indices = _greedy_masks(masks, m)
+
+        def pick() -> list[int]:
+            return indices
+    return Solution(value, pts, cands, m, pick)

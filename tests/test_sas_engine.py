@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from stablecover.baseline import update2
 from stablecover.geometry import Point, UnitDisk, assign_points, cell_of, is_boundary
 from stablecover.sas_engine import (
     Branch,
@@ -17,9 +19,10 @@ from stablecover.sas_engine import (
     prefix_balanced_order,
     select_group,
     update,
+    within_ratio,
 )
 from stablecover.geometry import GridSpec
-from stablecover.static_solver import solve
+from stablecover.static_solver import SolverBudgetError, solve
 
 
 def test_config_defaults_quarter_epsilon():
@@ -474,3 +477,55 @@ def test_engine_with_greedy_oracle():
         rep = update(state, "insert", p)
         # the maintained ratio is relative to the configured oracle's value
         assert rep.opt_value <= (1 + cfg.epsilon) * rep.alg_value
+
+
+def _snapshot(state):
+    return (state.t, set(state.points), list(state.disks), dict(state.assignment))
+
+
+@pytest.mark.parametrize("step", [update, update2])
+def test_update_atomic_under_budget_error(step):
+    rng = random.Random(3)
+    state = EngineState(config=EngineConfig(m=2, epsilon=0.25))
+    live = []
+    for _ in range(6):
+        live.append(Point(rng.uniform(0, 3), rng.uniform(0, 3)))
+        step(state, "insert", live[-1])
+    # Budget 1 fails in the value search, on an insert and on a delete.
+    state.config.node_budget = 1
+    for op, p in (("insert", Point(1.0, 1.0)), ("delete", live[2])):
+        before = _snapshot(state)
+        with pytest.raises(SolverBudgetError):
+            step(state, op, p)
+        assert _snapshot(state) == before
+
+
+@pytest.mark.parametrize("step", [update, update2])
+def test_update_atomic_when_extraction_exceeds_budget(step):
+    # One point: the value search takes 3 nodes, so the value is known, the
+    # ratio test fails (opt 1, alg 0) and reading the optimum's disks for the
+    # repair exceeds the budget in extraction.
+    state = EngineState(config=EngineConfig(m=1, epsilon=0.25, node_budget=3))
+    assert solve({Point(0.0, 0.0)}, 1, node_budget=3).value == 1
+    before = _snapshot(state)
+    with pytest.raises(SolverBudgetError):
+        step(state, "insert", Point(0.0, 0.0))
+    assert _snapshot(state) == before
+
+
+def test_stream_error_leaves_state():
+    state = EngineState(config=EngineConfig(m=2, epsilon=0.25))
+    update(state, "insert", Point(0.0, 0.0))
+    before = _snapshot(state)
+    with pytest.raises(StreamError):
+        update(state, "insert", Point(0.0, 0.0))
+    assert _snapshot(state) == before
+
+
+def test_ratio_test_is_exact():
+    # 1.15 * 100 == 114.99999999999999 in floating point.
+    assert (1.0 + 0.15) * 100 < 115
+    assert within_ratio(115, 100, EngineConfig(m=2, epsilon=0.15).epsilon_exact)
+    assert not within_ratio(116, 100, Fraction("0.15"))
+    assert within_ratio(125, 100, Fraction("0.25"))
+    assert not within_ratio(1, 0, Fraction("0.25"))
