@@ -6,8 +6,8 @@ Library layout:
 - :mod:`stablecover.static_solver` -- exact and greedy static coverage oracles
 - :mod:`stablecover.sas_engine` -- the bounded-churn approximation engine
 - :mod:`stablecover.baseline` -- the 2-stable 2-approximation
-- :mod:`stablecover.adversary` -- lower-bound generators and churn measurement
-- :mod:`stablecover.harness_cli` -- stream files, replay reports, CLI
+- :mod:`stablecover.adversary` -- lower-bound generators and pluggable maintainers
+- :mod:`stablecover.harness_cli` -- stream files, the replay loops, CLI
 """
 
 from .geometry import (

@@ -1,4 +1,8 @@
-"""Adversarial instance generators, exact evaluators and churn measurement."""
+"""Adversarial instance generators, exact evaluators and pluggable maintainers.
+
+Churn is measured by the harness's replay loops in
+:mod:`stablecover.harness_cli`, which replay any of these maintainers.
+"""
 
 from .expander import (
     BipartiteExpander,
@@ -23,7 +27,6 @@ from .lines import (
 )
 from .lower_bound import LowerBoundStream, chain_points, lower_bound_stream, trigger_options
 from .streams import (
-    ChurnRecord,
     ExactHittingMaintainer,
     ExactMaintainer,
     GreedyHittingMaintainer,
@@ -32,15 +35,12 @@ from .streams import (
     ProbeError,
     adaptive_line_stream,
     build_line_instance,
-    measure_churn,
     no_sas_check,
-    run_line_stream,
     solve_hitting,
 )
 
 __all__ = [
     "BipartiteExpander",
-    "ChurnRecord",
     "ExactHittingMaintainer",
     "ExactMaintainer",
     "ExtendedGraph",
@@ -64,11 +64,9 @@ __all__ = [
     "evaluate_hitting",
     "line_intersection",
     "lower_bound_stream",
-    "measure_churn",
     "no_sas_check",
     "random_expander",
     "random_regular_edges",
-    "run_line_stream",
     "sampled_expansion_check",
     "solve_hitting",
     "sparse_line_rep",

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..geometry import Point, UnitDisk
-from ..static_solver import SolverKind, solve
-from ..sas_engine import _multiset_churn
+from ..geometry import Point, UnitDisk, disk_churn
+from ..static_solver import solve
 
 
 def chain_points(m: int) -> list[Point]:
@@ -35,9 +34,7 @@ class LowerBoundStream:
     def prefix(self) -> list[Point]:
         return chain_points(self.m)
 
-    def choose_trigger(
-        self, current_disks: list[UnitDisk], kind: SolverKind = SolverKind.EXACT
-    ) -> Point:
+    def choose_trigger(self, current_disks: list[UnitDisk]) -> Point:
         """Pick the trigger whose forced optimum is farthest from the state.
 
         Evaluated against the canonical optimum after each candidate trigger;
@@ -47,8 +44,8 @@ class LowerBoundStream:
         best = None
         best_churn = -1
         for trig in trigger_options(self.m):
-            sol = solve(base | {trig}, self.m, kind)
-            churn = _multiset_churn(list(current_disks), sol.disks)
+            sol = solve(base | {trig}, self.m)
+            churn = disk_churn(current_disks, sol.disks)
             if churn > best_churn:
                 best_churn = churn
                 best = trig

@@ -1,38 +1,36 @@
-"""Adaptive arrival schedules and churn measurement for pluggable maintainers.
+"""Pluggable maintainers and the adaptive line-arrival schedule.
 
 Line triples arrive grouped by vertex; after the expander's own edges are in,
 the schedule probes the algorithm's current points and finishes on whichever
-side the algorithm has neglected.  Churn is always recomputed here as a
-symmetric difference of consecutive solutions, never read from the algorithm.
+side the algorithm has neglected.  The maintainers here are replayed and their
+churn measured by the harness's replay loops (:mod:`stablecover.harness_cli`),
+which recount every figure rather than read it from the algorithm.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from ..geometry import Point, UnitDisk, coverage_value
-from ..static_solver import SolverKind, max_coverage_masks, solve
+# disk_churn is re-exported: callers and the benchmark's spans find it here.
+from ..geometry import Point, UnitDisk, disk_churn  # noqa: F401
+from ..static_solver import (
+    SolverKind,
+    _greedy_masks,
+    max_coverage_masks,
+    pad_disks,
+    solve,
+)
 from .expander import BipartiteExpander, build_GmL, build_GmR, random_expander
 from .lines import (
     RationalLine,
     RationalPoint,
     SparseLineRep,
-    evaluate_hitting,
+    _norm,
     line_intersection,
     sparse_line_rep,
 )
-
-
-@dataclass
-class ChurnRecord:
-    t: int
-    op: str
-    alg_value: int
-    opt_value: int
-    churn: int
 
 
 class ProbeError(Exception):
@@ -50,9 +48,7 @@ class ExactMaintainer:
         self.m = m
         self.kind = kind
         self.points: set[Point] = set()
-        self.disks: list[UnitDisk] = [
-            UnitDisk(Point(0.0, -1000.0 - 3.0 * i)) for i in range(m)
-        ]
+        self.disks = pad_disks(m)
 
     def apply(self, op: str, p: Point) -> None:
         if op == "insert":
@@ -69,53 +65,13 @@ class NoOpMaintainer:
     """Never changes its disks; the churn-zero control."""
 
     def __init__(self, m: int):
-        self.m = m
-        self.points: set[Point] = set()
-        self.disks = [UnitDisk(Point(0.0, -1000.0 - 3.0 * i)) for i in range(m)]
+        self.disks = pad_disks(m)
 
     def apply(self, op: str, p: Point) -> None:
-        if op == "insert":
-            self.points.add(p)
-        else:
-            self.points.remove(p)
+        pass
 
     def solution(self) -> list[UnitDisk]:
         return list(self.disks)
-
-
-def disk_churn(before: list[UnitDisk], after: list[UnitDisk]) -> int:
-    a, b = Counter(before), Counter(after)
-    return sum((a - b).values()) + sum((b - a).values())
-
-
-def measure_churn(
-    maintainer,
-    events: Iterable[tuple[str, Point]],
-    opt_kind: SolverKind = SolverKind.EXACT,
-) -> list[ChurnRecord]:
-    """Drive a disk maintainer through a point stream, recounting every step."""
-    records = []
-    points: set[Point] = set()
-    for t, (op, p) in enumerate(events, start=1):
-        before = maintainer.solution()
-        maintainer.apply(op, p)
-        after = maintainer.solution()
-        if op == "insert":
-            points.add(p)
-        else:
-            points.remove(p)
-        alg = coverage_value(points, after)
-        opt = solve(points, len(after), opt_kind).value
-        records.append(
-            ChurnRecord(
-                t=t,
-                op=op,
-                alg_value=alg,
-                opt_value=opt,
-                churn=disk_churn(before, after),
-            )
-        )
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +96,6 @@ class LineInstance:
     def r_points(self) -> set[RationalPoint]:
         return {self.rep.positions[v] for v in self.expander.right}
 
-    @property
-    def l_points(self) -> set[RationalPoint]:
-        return {self.rep.positions[v] for v in self.expander.left}
-
     def side_rep(self, side: str) -> SparseLineRep:
         edges = [e for tri in self.base_triples for e in tri]
         edges += [e for tri in self.z_triples[side] for e in tri]
@@ -160,28 +112,21 @@ def build_line_instance(m: int, seed: int) -> LineInstance:
     expander = random_expander(m, seed)
     ext_l = build_GmL(expander)
     ext_r = build_GmR(expander, z_start=2 * m + m // 3)
-    all_edges = sorted(
-        {tuple(sorted(e)) for e in expander.edges}
-        | {tuple(sorted(e)) for e in ext_l.z_edges}
-        | {tuple(sorted(e)) for e in ext_r.z_edges}
-    )
+    all_edges = sorted(set(map(_norm, expander.edges + ext_l.z_edges + ext_r.z_edges)))
     vertices = sorted({v for e in all_edges for v in e})
     rep = sparse_line_rep(vertices, all_edges)
-
-    def norm(e):
-        return tuple(sorted(e))
 
     incident: dict[int, list[tuple[int, int]]] = {}
     for e in expander.edges:
         u = min(e)  # the L endpoint: L vertices are 0..m-1
-        incident.setdefault(u, []).append(norm(e))
+        incident.setdefault(u, []).append(_norm(e))
     base_triples = [sorted(incident[v]) for v in sorted(incident)]
     z_triples = {}
     for side, ext in (("L", ext_l), ("R", ext_r)):
         per_z: dict[int, list[tuple[int, int]]] = {}
         for e in ext.z_edges:
             z = max(e)
-            per_z.setdefault(z, []).append(norm(e))
+            per_z.setdefault(z, []).append(_norm(e))
         z_triples[side] = [sorted(per_z[z]) for z in sorted(per_z)]
     return LineInstance(
         m=m,
@@ -260,19 +205,30 @@ def _far_point(index: int, lines: Sequence[RationalLine]) -> RationalPoint:
     return (x, y)
 
 
-def solve_hitting(lines: Sequence[RationalLine], m: int) -> tuple[int, list[RationalPoint]]:
-    """Exact max lines stabbed by m points; canonical candidate choice."""
+def solve_hitting(
+    lines: Sequence[RationalLine], m: int, kind: SolverKind = SolverKind.EXACT
+) -> tuple[int, list[RationalPoint]]:
+    """Most lines stabbed by m points under the given oracle.
+
+    The exact oracle returns the optimum with the canonical candidate choice;
+    the greedy one takes the best marginal gain, lowest candidate on ties.
+    """
     if not lines:
         return 0, [_far_point(i, lines) for i in range(m)]
     cands = hitting_candidates(lines)
     masks = _hitting_masks(lines, cands)
-    value, idxs = max_coverage_masks(masks, m)
+    if kind is SolverKind.EXACT:
+        value, idxs = max_coverage_masks(masks, m)
+    else:
+        value, idxs = _greedy_masks(masks, m)
     pts = [cands[i] for i in idxs]
     pts += [_far_point(i, lines) for i in range(m - len(pts))]
     return value, pts
 
 
 class ExactHittingMaintainer:
+    """m points stabbing the most arrived lines, re-solved exactly per triple."""
+
     def __init__(self, m: int):
         self.m = m
         self.lines: list[RationalLine] = []
@@ -286,58 +242,12 @@ class ExactHittingMaintainer:
         return list(self.points)
 
 
-class GreedyHittingMaintainer:
-    def __init__(self, m: int):
-        self.m = m
-        self.lines: list[RationalLine] = []
-        self.points: list[RationalPoint] = [_far_point(i, []) for i in range(m)]
+class GreedyHittingMaintainer(ExactHittingMaintainer):
+    """The greedy oracle's m points in place of the exact optimum."""
 
     def apply_triple(self, triple: Sequence[RationalLine]) -> None:
         self.lines.extend(triple)
-        cands = hitting_candidates(self.lines)
-        masks = _hitting_masks(self.lines, cands)
-        chosen: list[int] = []
-        covered = 0
-        for _ in range(min(self.m, len(cands))):
-            best_i, best_gain = -1, -1
-            for i, mk in enumerate(masks):
-                if i in chosen:
-                    continue
-                gain = (mk & ~covered).bit_count()
-                if gain > best_gain:
-                    best_i, best_gain = i, gain
-            chosen.append(best_i)
-            covered |= masks[best_i]
-        pts = [cands[i] for i in chosen]
-        pts += [_far_point(i, self.lines) for i in range(self.m - len(pts))]
-        self.points = pts
-
-    def solution(self) -> list[RationalPoint]:
-        return list(self.points)
-
-
-def run_line_stream(maintainer, instance: LineInstance) -> list[ChurnRecord]:
-    """Drive a hitting maintainer through the adaptive schedule."""
-    records = []
-    arrived: list[RationalLine] = []
-    stream = adaptive_line_stream(instance, maintainer.solution)
-    for t, triple in enumerate(stream, start=1):
-        before = set(maintainer.solution())
-        maintainer.apply_triple(triple)
-        after = set(maintainer.solution())
-        arrived.extend(triple)
-        alg = evaluate_hitting(after, arrived)
-        opt, _ = solve_hitting(arrived, instance.m)
-        records.append(
-            ChurnRecord(
-                t=t,
-                op="lines",
-                alg_value=alg,
-                opt_value=opt,
-                churn=len(before ^ after),
-            )
-        )
-    return records
+        _, self.points = solve_hitting(self.lines, self.m, SolverKind.GREEDY)
 
 
 @dataclass
@@ -355,13 +265,14 @@ class NoSasCheck:
 
 
 def no_sas_check(
-    records: Sequence[ChurnRecord], eps_star: float, alpha: float, m: int
+    rows: Sequence[str], eps_star: float, alpha: float, m: int
 ) -> NoSasCheck:
-    ok = all(
-        r.alg_value > (1.0 - eps_star) * r.opt_value for r in records if r.opt_value
-    )
+    """Judge report rows (``t,op,alg_value,opt_value,ratio,churn,branch``, as
+    the harness's replay loops return them)."""
+    figures = [(int(r[2]), int(r[3]), int(r[5])) for r in (row.split(",") for row in rows)]
+    ok = all(alg > (1.0 - eps_star) * opt for alg, opt, _ in figures if opt)
     return NoSasCheck(
         maintained_ratio=ok,
-        max_churn=max((r.churn for r in records), default=0),
+        max_churn=max((churn for _, _, churn in figures), default=0),
         churn_threshold=alpha * m / 60.0,
     )

@@ -8,6 +8,8 @@ against rounding (e.g. candidate construction) must arrange for it upstream.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 
@@ -79,6 +81,12 @@ def coverage_value(points: Iterable[Point], disks: list[UnitDisk]) -> int:
     return sum(1 for p in points if any(covers(d, p) for d in disks))
 
 
+def disk_churn(before: list[UnitDisk], after: list[UnitDisk]) -> int:
+    """Disks changed between two solutions: their multiset symmetric difference."""
+    a, b = Counter(before), Counter(after)
+    return sum((a - b).values()) + sum((b - a).values())
+
+
 def cell_of(p: Point, grid: GridSpec) -> CellId:
     # Half-open cells: a point exactly on a grid line belongs to the
     # larger-coordinate cell.
@@ -107,10 +115,6 @@ def grid_shift_count(epsilon: float) -> int:
     return math.ceil(8.0 / epsilon)
 
 
-def grid_edge_for(epsilon: float) -> float:
-    return 2.0 * grid_shift_count(epsilon)
-
-
 def boundary_assigned_count(
     disks: list[UnitDisk], assignment: Assignment, grid: GridSpec
 ) -> int:
@@ -135,7 +139,8 @@ def select_grid(
     """First grid (row-major shift scan) whose boundary disks cover few points.
 
     The budget is ``(epsilon/2) * opt_value`` where ``opt_value`` is the number
-    of points assigned in ``opt_assignment``.  A qualifying grid is guaranteed
+    of points assigned in ``opt_assignment``, compared exactly with ``epsilon``
+    read as the decimal it was written as.  A qualifying grid is guaranteed
     to exist whenever ``opt_value`` exceeds ``(1+epsilon)`` times the number of
     points assigned in ``alg_assignment``; calling this without that gap may
     exhaust the scan.
@@ -144,8 +149,7 @@ def select_grid(
         shifts = grid_shift_count(epsilon)
     if edge is None:
         edge = 2.0 * shifts
-    opt_value = len(opt_assignment)
-    budget = 0.5 * epsilon * opt_value
+    budget = Fraction(str(epsilon)) * len(opt_assignment) / 2
     for i in range(shifts):
         for j in range(shifts):
             grid = GridSpec(edge, i, j)
@@ -163,13 +167,12 @@ def select_grid(
 SQRT2 = math.sqrt(2.0)
 
 
-def cell_cover(cell: CellId, grid: GridSpec, epsilon: float) -> list[UnitDisk]:
+def cell_cover(cell: CellId, grid: GridSpec) -> list[UnitDisk]:
     """Unit disks whose union contains the closed cell.
 
     The cell is tiled row-major with squares of side sqrt(2), each circumscribed
     by one unit disk; the outermost tiles may stick out past the cell.
     """
-    del epsilon  # the tile count is fixed by the cell edge alone
     k = math.ceil(grid.edge / SQRT2)
     x0 = grid.offset_x + cell[0] * grid.edge
     y0 = grid.offset_y + cell[1] * grid.edge

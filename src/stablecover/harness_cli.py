@@ -11,26 +11,28 @@ and any invariant violation makes the process exit nonzero.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 from . import baseline, sas_engine
-from .adversary.lines import RationalLine, evaluate_hitting
+from .adversary.expander import SeedExhaustionError
+from .adversary.lines import RationalLine, SparseLineRepError, evaluate_hitting
 from .adversary.lower_bound import lower_bound_stream
 from .adversary.streams import (
     ExactHittingMaintainer,
     ExactMaintainer,
     GreedyHittingMaintainer,
     build_line_instance,
-    disk_churn,
     solve_hitting,
 )
-from .geometry import Point, coverage_value
-from .sas_engine import EngineConfig, EngineState, within_ratio
-from .static_solver import SolverKind, solve
+from .geometry import GridSelectionError, Point, UnitDisk, coverage_value, disk_churn
+from .sas_engine import EngineConfig, EngineState, UpdateReport, within_ratio
+from .static_solver import SolverBudgetError, SolverKind, solve
 
 REPORT_HEADER = "t,op,alg_value,opt_value,ratio,churn,branch"
 
@@ -48,9 +50,7 @@ class RunConfig:
     m: int = 2
     epsilon: float = 0.25
     solver: SolverKind = SolverKind.EXACT
-    seed: int = 0
     scaled: dict | None = None  # None: stock constants; dict: scaled overrides
-    out: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +74,10 @@ def parse_stream(text: str) -> UpdateStream:
         parts = row.split()
         try:
             if parts[0] in ("insert", "delete") and len(parts) == 3:
-                point_events.append(
-                    (parts[0], Point(float(parts[1]), float(parts[2])))
-                )
+                p = Point(float(parts[1]), float(parts[2]))
+                if not (math.isfinite(p.x) and math.isfinite(p.y)):
+                    raise ValueError("coordinates must be finite")
+                point_events.append((parts[0], p))
             elif parts[0] == "line" and len(parts) == 4:
                 a, b, c = (Fraction(tok) for tok in parts[1:])
                 raw_lines.append(RationalLine.normalized(a, b, c))
@@ -127,15 +128,10 @@ def gen_random(n: int, bbox: float, seed: int, delete_prob: float = 0.0) -> list
 
 def gen_lower_bound(m: int) -> list[str]:
     """2m chain inserts plus the trigger that is adversarial for a canonical
-    exact maintainer replaying the same prefix."""
+    exact maintainer, which holds the prefix's canonical optimum by then."""
     stream = lower_bound_stream(m)
-    maintainer = ExactMaintainer(m)
-    for p in stream.prefix:
-        maintainer.apply("insert", p)
-    trigger = stream.choose_trigger(maintainer.solution())
-    return [format_point_event("insert", p) for p in stream.prefix] + [
-        format_point_event("insert", trigger)
-    ]
+    trigger = stream.choose_trigger(solve(stream.prefix, m).disks)
+    return [format_point_event(op, p) for op, p in stream.events(trigger)]
 
 
 def gen_lines(m: int, seed: int) -> list[str]:
@@ -155,14 +151,16 @@ def gen_lines(m: int, seed: int) -> list[str]:
 
 
 def _engine_config(config: RunConfig) -> EngineConfig:
-    overrides = dict(config.scaled or {})
-    return EngineConfig(
-        m=config.m,
-        epsilon=config.epsilon,
-        solver=config.solver,
-        scaled_mode=config.scaled is not None,
-        **overrides,
-    )
+    try:
+        return EngineConfig(
+            m=config.m,
+            epsilon=config.epsilon,
+            solver=config.solver,
+            scaled_mode=config.scaled is not None,
+            **(config.scaled or {}),
+        )
+    except TypeError as exc:  # a --scaled key that names no tunable
+        raise HarnessError(f"bad scaled constant: {exc}") from None
 
 
 def _check(condition: bool, message: str) -> None:
@@ -170,19 +168,43 @@ def _check(condition: bool, message: str) -> None:
         raise HarnessError(message)
 
 
-def run_points(config: RunConfig, events: list[tuple[str, Point]]) -> list[str]:
-    rows = []
-    epsilon = Fraction(str(config.epsilon))
-    points: set[Point] = set()
-    if config.engine == "exact_maintainer":
-        maintainer = ExactMaintainer(config.m, config.solver)
-        stepper = None
-        state = None
-    else:
-        state = EngineState(config=_engine_config(config))
-        stepper = sas_engine.update if config.engine == "sas" else baseline.update2
-        maintainer = None
+def _row(t: int, op: str, alg: int, opt: int, churn: int, branch: str) -> str:
+    ratio = alg / opt if opt else 1.0
+    return f"{t},{op},{alg},{opt},{ratio:.6f},{churn},{branch}"
 
+
+class EngineMaintainer:
+    """The SAS engine or the 2-stable baseline as a point maintainer; ``apply``
+    returns the engine's own report for the harness to check."""
+
+    def __init__(self, config: RunConfig) -> None:
+        self.state = EngineState(config=_engine_config(config))
+        self.update = sas_engine.update if config.engine == "sas" else baseline.update2
+
+    def apply(self, op: str, p: Point) -> UpdateReport:
+        return self.update(self.state, op, p)
+
+    def solution(self) -> list[UnitDisk]:
+        return list(self.state.disks)
+
+
+def run_points(config: RunConfig, events: list[tuple[str, Point]], maintainer=None) -> list[str]:
+    """Replay point events: one report row per event, every figure recounted.
+
+    ``maintainer`` (anything with ``apply(op, p)`` and ``solution()``) stands
+    in for the configured engine; it is recounted like one but held to no
+    engine's guarantee.  A report returned by ``apply`` must match the recount.
+    """
+    engine = None
+    if maintainer is None:
+        engine = config.engine
+        if engine == "exact_maintainer":
+            maintainer = ExactMaintainer(config.m, config.solver)
+        else:
+            maintainer = EngineMaintainer(config)
+    epsilon = Fraction(str(config.epsilon))
+    rows = []
+    points: set[Point] = set()
     for t, (op, p) in enumerate(events, start=1):
         if op == "insert":
             _check(p not in points, f"duplicate insert at t={t}")
@@ -190,45 +212,49 @@ def run_points(config: RunConfig, events: list[tuple[str, Point]]) -> list[str]:
         else:
             _check(p in points, f"delete of absent point at t={t}")
             points.remove(p)
-        if config.engine == "exact_maintainer":
-            before = maintainer.solution()
-            maintainer.apply(op, p)
-            after = maintainer.solution()
-            branch = "Recompute"
-        else:
-            before = list(state.disks)
-            report = stepper(state, op, p)
-            after = list(state.disks)
-            branch = report.branch.value
+        before = maintainer.solution()
+        report = maintainer.apply(op, p)
+        after = maintainer.solution()
 
         alg = coverage_value(points, after)
         opt = solve(points, config.m, config.solver).value
         churn = disk_churn(before, after)
-        if state is not None:
+        branch = "Recompute"
+        if report is not None:
             _check(report.alg_value == alg, f"alg recount mismatch at t={t}")
             _check(report.opt_value == opt, f"opt recount mismatch at t={t}")
             _check(report.churn == churn, f"churn recount mismatch at t={t}")
-        if config.engine == "sas":
+            branch = report.branch.value
+        if engine == "sas":
             _check(
                 within_ratio(opt, alg, epsilon),
                 f"ratio invariant failed at t={t}: opt={opt} alg={alg}",
             )
-        elif config.engine == "two_stable":
+        elif engine == "two_stable":
             _check(opt <= 2 * alg, f"2-approximation failed at t={t}")
             _check(churn <= 2, f"churn {churn} above 2 at t={t}")
-        else:
+        elif engine == "exact_maintainer":
             _check(alg == opt, f"exact maintainer suboptimal at t={t}")
-        ratio = alg / opt if opt else 1.0
-        rows.append(f"{t},{op},{alg},{opt},{ratio:.6f},{churn},{branch}")
+        rows.append(_row(t, op, alg, opt, churn, branch))
     return rows
 
 
-def run_lines(config: RunConfig, steps: list[list[RationalLine]]) -> list[str]:
-    maintainer = (
-        GreedyHittingMaintainer(config.m)
-        if config.engine == "greedy_hitting"
-        else ExactHittingMaintainer(config.m)
-    )
+def run_lines(
+    config: RunConfig, steps: Iterable[list[RationalLine]], maintainer=None
+) -> list[str]:
+    """Replay line triples: one report row per triple, every figure recounted.
+
+    ``maintainer`` (anything with ``apply_triple`` and ``solution()``) stands
+    in for the configured engine, held to no engine's guarantee; ``steps`` may
+    be a schedule that probes it, such as ``adaptive_line_stream``.
+    """
+    engine = None
+    if maintainer is None:
+        engine = config.engine
+        if engine == "greedy_hitting":
+            maintainer = GreedyHittingMaintainer(config.m)
+        else:
+            maintainer = ExactHittingMaintainer(config.m)
     rows = []
     arrived: list[RationalLine] = []
     for t, triple in enumerate(steps, start=1):
@@ -239,10 +265,9 @@ def run_lines(config: RunConfig, steps: list[list[RationalLine]]) -> list[str]:
         alg = evaluate_hitting(after, arrived)
         opt, _ = solve_hitting(arrived, config.m)
         churn = len(before ^ after)
-        if config.engine == "exact_hitting":
+        if engine == "exact_hitting":
             _check(alg == opt, f"exact hitting maintainer suboptimal at t={t}")
-        ratio = alg / opt if opt else 1.0
-        rows.append(f"{t},lines,{alg},{opt},{ratio:.6f},{churn},Hitting")
+        rows.append(_row(t, "lines", alg, opt, churn, "Hitting"))
     return rows
 
 
@@ -272,18 +297,11 @@ def run(config: RunConfig, stream: UpdateStream) -> str:
 
 def _parse_overrides(text: str) -> dict:
     out: dict = {}
-    if not text:
-        return out
     for item in text.split(","):
         key, _, value = item.partition("=")
         key = key.strip()
-        if not key:
-            continue
-        value = value.strip()
-        if key in ("epsilon", "grid_edge"):
-            out[key] = float(value)
-        else:
-            out[key] = int(value)
+        if key:
+            out[key] = (float if key == "grid_edge" else int)(value)
     return out
 
 
@@ -293,9 +311,7 @@ def _config_from_args(args) -> RunConfig:
         m=args.m,
         epsilon=args.epsilon,
         solver=SolverKind.GREEDY if args.solver == "greedy" else SolverKind.EXACT,
-        seed=args.seed,
         scaled=_parse_overrides(args.scaled) if args.scaled is not None else None,
-        out=args.out,
     )
 
 
@@ -304,6 +320,14 @@ def _write(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+# Bad input (files, streams, options, generator sizes), a run out of its
+# search budget, or a failed invariant: one ``error:`` line and exit code 2.
+INPUT_ERRORS = (
+    HarnessError, OSError, ValueError, sas_engine.StreamError, sas_engine.EngineInvariantError,
+    SolverBudgetError, GridSelectionError, SparseLineRepError, SeedExhaustionError,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -322,27 +346,21 @@ def main(argv: list[str] | None = None) -> int:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default=None)
 
-    p_run = sub.add_parser("run", help="replay a stream and write a report")
-    p_run.add_argument("--stream", required=True)
-    p_run.add_argument("--engine", default="sas", choices=POINT_ENGINES + LINE_ENGINES)
-    p_run.add_argument("--m", type=int, default=2)
-    p_run.add_argument("--epsilon", type=float, default=0.25)
-    p_run.add_argument("--solver", default="exact", choices=("exact", "greedy"))
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--scaled", nargs="?", const="", default=None,
-                       help="scaled-constant overrides, e.g. c_star=1,kappa=3")
+    replay = argparse.ArgumentParser(add_help=False)
+    replay.add_argument("--stream", required=True)
+    replay.add_argument("--engine", default="sas", choices=POINT_ENGINES + LINE_ENGINES)
+    replay.add_argument("--m", type=int, default=2)
+    replay.add_argument("--epsilon", type=float, default=0.25)
+    replay.add_argument("--solver", default="exact", choices=("exact", "greedy"))
+    replay.add_argument("--scaled", nargs="?", const="", default=None,
+                        help="scaled-constant overrides, e.g. c_star=1,kappa=3")
+
+    p_run = sub.add_parser("run", parents=[replay], help="replay a stream and write a report")
     p_run.add_argument("--out", default=None)
 
-    p_ver = sub.add_parser("verify", help="re-run a stream and compare reports")
-    p_ver.add_argument("--stream", required=True)
+    p_ver = sub.add_parser("verify", parents=[replay],
+                           help="re-run a stream and compare reports")
     p_ver.add_argument("--report", required=True)
-    p_ver.add_argument("--engine", default="sas", choices=POINT_ENGINES + LINE_ENGINES)
-    p_ver.add_argument("--m", type=int, default=2)
-    p_ver.add_argument("--epsilon", type=float, default=0.25)
-    p_ver.add_argument("--solver", default="exact", choices=("exact", "greedy"))
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--scaled", nargs="?", const="", default=None)
-    p_ver.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
     try:
@@ -367,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         print("report mismatch", file=sys.stderr)
         return 1
-    except (HarnessError, sas_engine.StreamError, sas_engine.EngineInvariantError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import Callable
 
 from .geometry import (
     Assignment,
@@ -29,11 +30,12 @@ from .geometry import (
     cell_cover_size,
     cell_of,
     covers,
+    disk_churn,
     grid_shift_count,
     is_boundary,
     select_grid,
 )
-from .static_solver import Solution, SolverKind, solve
+from .static_solver import Solution, SolverKind, pad_disks, solve
 
 
 class Branch(Enum):
@@ -140,11 +142,7 @@ class EngineState:
 
     def __post_init__(self) -> None:
         if not self.disks:
-            # Arbitrary initial solution, far below anything a stream inserts.
-            self.disks = [
-                UnitDisk(Point(0.0, -1000.0 - 3.0 * i))
-                for i in range(self.config.m)
-            ]
+            self.disks = pad_disks(self.config.m)
         if len(self.disks) != self.config.m:
             raise ValueError(f"need exactly m={self.config.m} disks")
 
@@ -360,11 +358,6 @@ def within_ratio(opt: int, alg: int, epsilon: Fraction) -> bool:
     return opt * epsilon.denominator <= (epsilon.denominator + epsilon.numerator) * alg
 
 
-def _multiset_churn(old: list[UnitDisk], new: list[UnitDisk]) -> int:
-    a, b = Counter(old), Counter(new)
-    return sum((a - b).values()) + sum((b - a).values())
-
-
 def _swap_everything(state: EngineState, disks: list[UnitDisk], branch: Branch) -> Swap:
     return Swap(s_old=list(range(len(state.disks))), s_new=list(disks), branch=branch)
 
@@ -421,7 +414,7 @@ def find_valid_swap(state: EngineState, opt_sol: Solution | None = None) -> Swap
         )
 
     pstar_total = sum(pstar_cell.values())
-    if pstar_total < (1.0 + cfg.epsilon / 4.0) * cur:
+    if pstar_total < (1 + cfg.epsilon_exact / 4) * cur:
         raise EngineInvariantError(
             "internal-optimum surplus bound violated after grid selection"
         )
@@ -433,7 +426,7 @@ def find_valid_swap(state: EngineState, opt_sol: Solution | None = None) -> Swap
     )
     if overflow:
         cell = overflow[0]
-        tiles = cell_cover(cell, grid, cfg.epsilon)
+        tiles = cell_cover(cell, grid)
         uncovered = min(p for p in state.points if p not in state.assignment)
         s_new = tiles + [UnitDisk(uncovered)]
         ordered = sorted(cell_alg[cell], key=lambda i: (alg_boundary[i], i))
@@ -477,12 +470,7 @@ def find_valid_swap(state: EngineState, opt_sol: Solution | None = None) -> Swap
 
     blocks = make_blocks(ordered, cfg.block_min, cfg.block_max)
     if len(blocks) < 3 * cfg.kappa:
-        s_new = internal_opt + dummies
-        return Swap(
-            s_old=list(range(len(state.disks))),
-            s_new=s_new,
-            branch=Branch.FEW_BLOCKS_SWAP_ALL,
-        )
+        return _swap_everything(state, internal_opt + dummies, Branch.FEW_BLOCKS_SWAP_ALL)
 
     block_items = [(rank, b.alg_total, b.opt_total) for rank, b in enumerate(blocks)]
     block_bound = max(
@@ -507,11 +495,7 @@ def find_valid_swap(state: EngineState, opt_sol: Solution | None = None) -> Swap
     choice = select_group(stats, cfg.kappa, cfg.extend)
     if choice is None:
         if cfg.scaled_mode:
-            return Swap(
-                s_old=list(range(len(state.disks))),
-                s_new=internal_opt + dummies,
-                branch=Branch.FEW_BLOCKS_SWAP_ALL,
-            )
+            return _swap_everything(state, internal_opt + dummies, Branch.FEW_BLOCKS_SWAP_ALL)
         raise EngineInvariantError("no qualifying group found")
 
     lo, hi = choice.group
@@ -530,11 +514,7 @@ def find_valid_swap(state: EngineState, opt_sol: Solution | None = None) -> Swap
     s_old = sorted(set(s_old))
     if len(s_new) > len(s_old):
         if cfg.scaled_mode:
-            return Swap(
-                s_old=list(range(len(state.disks))),
-                s_new=internal_opt + dummies,
-                branch=Branch.FEW_BLOCKS_SWAP_ALL,
-            )
+            return _swap_everything(state, internal_opt + dummies, Branch.FEW_BLOCKS_SWAP_ALL)
         raise EngineInvariantError("replacement larger than removal set")
     return Swap(s_old=s_old, s_new=s_new, branch=Branch.GROUP_SWAP)
 
@@ -558,45 +538,44 @@ def apply_event(state: EngineState, op: str, p: Point) -> None:
         raise StreamError(f"unknown operation {op!r}")
 
 
-def apply_swap(state: EngineState, swap: Swap) -> int:
-    """Replace the swap's old disks, pad back to m, recount; returns churn."""
-    cfg = state.config
-    old = list(state.disks)
-    removed = set(swap.s_old)
-    keep = [d for i, d in enumerate(old) if i not in removed]
-    new_disks = keep + list(swap.s_new)
-    deficit = cfg.m - len(new_disks)
-    if deficit > 0:
-        base = min(
-            [d.center.y for d in old + swap.s_new]
-            + [p.y for p in state.points]
-        )
-        new_disks += [
-            UnitDisk(Point(0.0, base - 10.0 - 3.0 * i)) for i in range(deficit)
-        ]
-    if len(new_disks) != cfg.m:
-        raise EngineInvariantError(
-            f"swap leaves {len(new_disks)} disks, not m={cfg.m}"
-        )
-    prev_value = state.alg_value
-    state.disks = new_disks
-    state.assignment = assign_points(state.points, state.disks)
+def replace_disks(state: EngineState, disks: list[UnitDisk]) -> int:
+    """Make ``disks`` the solution and recount the assignment; returns churn.
+
+    Raises unless the recount covers strictly more points than before.
+    """
+    old, prev_value = state.disks, state.alg_value
+    state.disks = disks
+    state.assignment = assign_points(state.points, disks)
     if state.alg_value < prev_value + 1:
         raise EngineInvariantError(
-            f"swap did not increase coverage: {prev_value} -> {state.alg_value}"
+            f"repair did not increase coverage: {prev_value} -> {state.alg_value}"
         )
-    return _multiset_churn(old, new_disks)
+    return disk_churn(old, disks)
 
 
-def atomic(step):
-    """Make an engine step all-or-nothing: if it raises, ``t``, the points,
+def apply_swap(state: EngineState, swap: Swap) -> int:
+    """Replace the swap's old disks, pad back to m, recount; returns churn."""
+    removed = set(swap.s_old)
+    disks = [d for i, d in enumerate(state.disks) if i not in removed] + list(swap.s_new)
+    deficit = state.config.m - len(disks)
+    if deficit > 0:
+        min_y = min(
+            [d.center.y for d in state.disks + swap.s_new]
+            + [p.y for p in state.points]
+        )
+        disks += pad_disks(deficit, min_y)
+    return replace_disks(state, disks)
+
+
+def atomic(update_fn):
+    """Make an engine update all-or-nothing: if it raises, ``t``, the points,
     the disks and the assignment are put back as they were before the call."""
 
-    @functools.wraps(step)
+    @functools.wraps(update_fn)
     def wrapper(state: EngineState, op: str, p: Point) -> UpdateReport:
         saved = (state.t, set(state.points), state.disks, dict(state.assignment))
         try:
-            return step(state, op, p)
+            return update_fn(state, op, p)
         except BaseException:
             state.t, state.points, state.disks, state.assignment = saved
             raise
@@ -604,34 +583,37 @@ def atomic(step):
     return wrapper
 
 
-@atomic
-def update(state: EngineState, op: str, p: Point) -> UpdateReport:
-    """One dynamic update; repairs the solution only when the ratio check fails."""
+def step(
+    state: EngineState,
+    op: str,
+    p: Point,
+    slack: Fraction,
+    repair: Callable[[EngineState, Solution], tuple[int, Branch]],
+) -> UpdateReport:
+    """The update body every engine shares.
+
+    Applies the event and solves.  While ``opt <= (1+slack)*alg`` nothing
+    changes; otherwise ``repair`` replaces the solution through
+    :func:`replace_disks` and returns the churn and the branch it took.  The
+    result must hold m disks, meet the ratio and stay within the branch's
+    churn bound.
+    """
     cfg = state.config
     state.t += 1
     apply_event(state, op, p)
-    cur = state.alg_value
     opt_sol = solve(state.points, cfg.m, cfg.solver, cfg.node_budget)
-
-    if within_ratio(opt_sol.value, cur, cfg.epsilon_exact):
-        churn = 0
-        branch = Branch.NO_CHANGE
-    elif cfg.m <= cfg.trivial_threshold:
-        swap = _swap_everything(state, opt_sol.disks, Branch.TRIVIAL_SWAP_ALL)
-        churn = apply_swap(state, swap)
-        branch = swap.branch
+    if within_ratio(opt_sol.value, state.alg_value, slack):
+        churn, branch = 0, Branch.NO_CHANGE
     else:
-        swap = find_valid_swap(state, opt_sol)
-        churn = apply_swap(state, swap)
-        branch = swap.branch
+        churn, branch = repair(state, opt_sol)
 
     if len(state.disks) != cfg.m:
         raise EngineInvariantError(
             f"{len(state.disks)} disks after t={state.t}, not m={cfg.m}"
         )
-    if not within_ratio(opt_sol.value, state.alg_value, cfg.epsilon_exact):
+    if not within_ratio(opt_sol.value, state.alg_value, slack):
         raise EngineInvariantError(
-            f"approximation ratio violated at t={state.t}: "
+            f"ratio 1+{slack} violated at t={state.t}: "
             f"opt={opt_sol.value} alg={state.alg_value}"
         )
     if churn > cfg.churn_bound(branch):
@@ -646,3 +628,19 @@ def update(state: EngineState, op: str, p: Point) -> UpdateReport:
         churn=churn,
         branch=branch,
     )
+
+
+def _sas_repair(state: EngineState, opt_sol: Solution) -> tuple[int, Branch]:
+    """Swap everything up to the trivial threshold, else one planned swap."""
+    cfg = state.config
+    if cfg.m <= cfg.trivial_threshold:
+        swap = _swap_everything(state, opt_sol.disks, Branch.TRIVIAL_SWAP_ALL)
+    else:
+        swap = find_valid_swap(state, opt_sol)
+    return apply_swap(state, swap), swap.branch
+
+
+@atomic
+def update(state: EngineState, op: str, p: Point) -> UpdateReport:
+    """One dynamic update; repairs the solution only when the ratio check fails."""
+    return step(state, op, p, state.config.epsilon_exact, _sas_repair)

@@ -89,12 +89,13 @@ class Solution:
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
-def pad_disks(count: int, min_y: float, start: int = 0) -> list[UnitDisk]:
-    """Deterministic throwaway disks placed well below ``min_y``."""
-    return [
-        UnitDisk(Point(0.0, min_y - 10.0 - 3.0 * (start + i)))
-        for i in range(count)
-    ]
+def pad_disks(count: int, min_y: float = -990.0) -> list[UnitDisk]:
+    """Deterministic throwaway disks parked well below ``min_y``.
+
+    The default parks them from y=-1000 down, below anything a stream inserts;
+    every initial solution starts that way.
+    """
+    return [UnitDisk(Point(0.0, min_y - 10.0 - 3.0 * i)) for i in range(count)]
 
 
 def _bucket(p: Point) -> tuple[int, int]:

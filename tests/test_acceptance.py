@@ -263,7 +263,7 @@ def test_criterion_7_cell_cover():
     cfg = EngineConfig(m=2, epsilon=0.25)
     grid = GridSpec(cfg.grid_edge, 3, 7)
     cell = (2, -1)
-    disks = cell_cover(cell, grid, 0.25)
+    disks = cell_cover(cell, grid)
     assert len(disks) <= cfg.cover_budget
     x0 = grid.offset_x + cell[0] * grid.edge
     y0 = grid.offset_y + cell[1] * grid.edge

@@ -16,9 +16,7 @@ from stablecover.adversary import (
     double_cover,
     evaluate_hitting,
     lower_bound_stream,
-    measure_churn,
     random_expander,
-    run_line_stream,
     sampled_expansion_check,
     solve_hitting,
     sparse_line_rep,
@@ -26,7 +24,13 @@ from stablecover.adversary import (
 )
 from stablecover.adversary.streams import disk_churn
 from stablecover.geometry import Point
+from stablecover.harness_cli import RunConfig, run_lines, run_points
 from stablecover.static_solver import solve
+
+
+def column(rows, index):
+    """One integer column of report rows (2 alg_value, 3 opt_value, 5 churn)."""
+    return [int(row.split(",")[index]) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +79,10 @@ def test_canonical_optima_under_both_triggers_differ():
     assert set(solve(base | {left}, 4).disks) != set(solve(base | {right}, 4).disks)
 
 
-def test_measure_churn_noop_is_zero():
+def test_replay_noop_churn_is_zero():
     events = [("insert", p) for p in chain_points(2)]
-    records = measure_churn(NoOpMaintainer(2), events)
-    assert all(r.churn == 0 for r in records)
+    rows = run_points(RunConfig(m=2), events, NoOpMaintainer(2))
+    assert all(churn == 0 for churn in column(rows, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +256,11 @@ def test_final_opt_is_4m():
 
 def test_greedy_hitting_trace():
     inst = build_line_instance(6, seed=1)
-    records = run_line_stream(GreedyHittingMaintainer(6), inst)
-    assert len(records) == 8
-    assert all(r.alg_value <= r.opt_value for r in records)
-    assert max(r.churn for r in records) >= 0
+    mt = GreedyHittingMaintainer(6)
+    rows = run_lines(RunConfig(m=6), adaptive_line_stream(inst, mt.solution), mt)
+    assert len(rows) == 8
+    assert all(alg <= opt for alg, opt in zip(column(rows, 2), column(rows, 3)))
+    assert max(column(rows, 5)) >= 0
 
 
 def test_edge_list_export_format():
@@ -270,13 +275,12 @@ def test_edge_list_export_format():
 
 def test_no_sas_check_reports_threshold():
     from stablecover.adversary import no_sas_check
-    from stablecover.adversary.streams import ChurnRecord
 
-    records = [ChurnRecord(t=1, op="lines", alg_value=9, opt_value=10, churn=3)]
-    out = no_sas_check(records, eps_star=0.2, alpha=0.3, m=60)
+    rows = ["1,lines,9,10,0.900000,3,Hitting"]
+    out = no_sas_check(rows, eps_star=0.2, alpha=0.3, m=60)
     assert out.maintained_ratio and out.max_churn == 3
     assert out.churn_threshold == pytest.approx(0.3)
-    bad = [ChurnRecord(t=1, op="lines", alg_value=5, opt_value=10, churn=1)]
+    bad = ["1,lines,5,10,0.500000,1,Hitting"]
     assert not no_sas_check(bad, 0.2, 0.3, 60).maintained_ratio
 
 

@@ -146,16 +146,33 @@ def test_select_grid_exhaustion_signals():
         select_grid(disks, disks, a, a, 0.25, edge=1.0, shifts=1)
 
 
+def test_select_grid_budget_is_exact():
+    # At epsilon=0.35 and opt=360 the budget is exactly 63, while the float
+    # product 0.5*0.35*360 reads 62.99999999999999.  The boundary disk at
+    # (0.5, 0.5) holds 63 (then 64) points in grid (0,0); every other shift
+    # makes the disk at (2, 2), with the rest of the points, a boundary disk.
+    opt_disks = [UnitDisk(Point(0.5, 0.5)), UnitDisk(Point(2.0, 2.0))]
+    for on_boundary, fits in ((63, True), (64, False)):
+        a_opt = {Point(float(k), 0.0): int(k >= on_boundary) for k in range(360)}
+        if fits:
+            assert select_grid(opt_disks, [], a_opt, {}, 0.35, edge=4.0, shifts=2) == (
+                GridSpec(4.0, 0, 0)
+            )
+        else:
+            with pytest.raises(GridSelectionError):
+                select_grid(opt_disks, [], a_opt, {}, 0.35, edge=4.0, shifts=2)
+
+
 def test_cell_cover_count_and_budget():
     g = G64
-    disks = cell_cover((0, 0), g, 0.25)
+    disks = cell_cover((0, 0), g)
     assert len(disks) == math.ceil(64.0 / math.sqrt(2.0)) ** 2 == 2116
     assert len(disks) == cell_cover_size(64.0)
 
 
 def test_cell_cover_contains_cell():
     g = GridSpec(16.0, 0, 0)
-    disks = cell_cover((1, 2), g, 0.25)
+    disks = cell_cover((1, 2), g)
     rng = random.Random(3)
     samples = [Point(16.0 + rng.uniform(0, 16), 32.0 + rng.uniform(0, 16)) for _ in range(100)]
     corners = [Point(16.0 + dx, 32.0 + dy) for dx in (0.0, 8.0, 16.0) for dy in (0.0, 8.0, 16.0)]
@@ -165,4 +182,4 @@ def test_cell_cover_contains_cell():
 
 def test_cell_cover_single_tile():
     g = GridSpec(math.sqrt(2.0), 0, 0)
-    assert len(cell_cover((0, 0), g, 0.25)) == 1
+    assert len(cell_cover((0, 0), g)) == 1

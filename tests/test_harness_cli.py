@@ -150,3 +150,29 @@ def test_run_rejects_invalid_m():
     stream = parse_stream("insert 1.0 1.0\n")
     with pytest.raises(HarnessError):
         run(RunConfig(engine="exact_maintainer", m=0), stream)
+
+
+@pytest.mark.parametrize(
+    "argv, stream_text",
+    [
+        (["run", "--stream", "STREAM"], "insert nan 1.0\n"),
+        (["run", "--stream", "STREAM"], "insert 1.0 inf\n"),
+        (["run", "--stream", "STREAM"], None),
+        (["run", "--stream", "STREAM", "--scaled", "kappa=abc"], "insert 1.0 1.0\n"),
+        (["run", "--stream", "STREAM", "--scaled", "foo=1"], "insert 1.0 1.0\n"),
+        (["run", "--stream", "STREAM", "--epsilon", "0.7"], "insert 1.0 1.0\n"),
+        (["gen", "lines", "--m", "4"], None),
+        (["run", "--stream", "STREAM", "--scaled", "node_budget=1"],
+         "insert 1.0 1.0\ninsert 1.2 1.0\n"),
+    ],
+    ids=["nan", "inf", "missing-stream", "scaled-not-a-number", "scaled-unknown-key",
+         "epsilon-out-of-range", "lines-m-not-divisible-by-3", "solver-budget"],
+)
+def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, stream_text):
+    stream_path = tmp_path / "s.txt"
+    if stream_text is not None:
+        stream_path.write_text(stream_text)
+    argv = [str(stream_path) if arg == "STREAM" else arg for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

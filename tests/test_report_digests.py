@@ -1,11 +1,9 @@
 """Golden digests of full ``run`` reports, branch column and trailer included.
 
-Each digest was recorded before the engines' update steps and the replay
-loops were merged into one body and one loop per stream kind; a refactor
-that keeps them keeps every report byte.  The streams cover both SAS
-tolerances the tests use, the scaled pipeline up to ``GroupSwap``, the
-2-stable baseline, the exact maintainer (random and lower-bound streams) and
-both hitting maintainers.
+A change that must keep reports byte-identical keeps these digests.  The
+streams cover both SAS tolerances the tests use, the scaled pipeline up to
+``GroupSwap``, the 2-stable baseline, the exact maintainer (random and
+lower-bound streams) and both hitting maintainers.
 """
 
 import functools
