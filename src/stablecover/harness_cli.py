@@ -177,9 +177,9 @@ class EngineMaintainer:
     """The SAS engine or the 2-stable baseline as a point maintainer; ``apply``
     returns the engine's own report for the harness to check."""
 
-    def __init__(self, config: RunConfig) -> None:
-        self.state = EngineState(config=_engine_config(config))
-        self.update = sas_engine.update if config.engine == "sas" else baseline.update2
+    def __init__(self, engine: str, config: EngineConfig) -> None:
+        self.state = EngineState(config=config)
+        self.update = sas_engine.update if engine == "sas" else baseline.update2
 
     def apply(self, op: str, p: Point) -> UpdateReport:
         return self.update(self.state, op, p)
@@ -198,11 +198,11 @@ def run_points(config: RunConfig, events: list[tuple[str, Point]], maintainer=No
     engine = None
     if maintainer is None:
         engine = config.engine
+        settings = _engine_config(config)
         if engine == "exact_maintainer":
             maintainer = ExactMaintainer(config.m, config.solver)
         else:
-            maintainer = EngineMaintainer(config)
-    epsilon = Fraction(str(config.epsilon))
+            maintainer = EngineMaintainer(engine, settings)
     rows = []
     points: set[Point] = set()
     for t, (op, p) in enumerate(events, start=1):
@@ -227,7 +227,7 @@ def run_points(config: RunConfig, events: list[tuple[str, Point]], maintainer=No
             branch = report.branch.value
         if engine == "sas":
             _check(
-                within_ratio(opt, alg, epsilon),
+                within_ratio(opt, alg, settings.epsilon_exact),
                 f"ratio invariant failed at t={t}: opt={opt} alg={alg}",
             )
         elif engine == "two_stable":
@@ -251,6 +251,7 @@ def run_lines(
     engine = None
     if maintainer is None:
         engine = config.engine
+        _engine_config(config)  # the option checks every engine gets
         if engine == "greedy_hitting":
             maintainer = GreedyHittingMaintainer(config.m)
         else:

@@ -59,12 +59,12 @@ class StreamError(Exception):
 class EngineConfig:
     """All tunables of the swap pipeline.
 
-    With ``scaled_mode=False`` the derived constants follow the standard
-    formulas in ``epsilon`` (ceilings applied to every ``1/epsilon`` power).
-    ``scaled_mode=True`` permits overriding any of them so the combinatorial
-    pipeline can be exercised at desk scale; the group-existence guarantee is
-    then no longer promised and a failed group search falls back to swapping
-    everything.
+    A derived constant left as ``None`` follows its standard formula in
+    ``epsilon`` (ceilings applied to every ``1/epsilon`` power).  Overrides
+    apply in either mode and let the pipeline run at desk scale, where its
+    guarantees are no longer promised; ``scaled_mode`` only turns the three
+    fallbacks on: a failed grid selection, a failed group search or an
+    oversized replacement then swaps everything instead of raising.
     """
 
     m: int
@@ -153,11 +153,13 @@ class EngineState:
 
 @dataclass
 class CellRecord:
-    cell: CellId
-    alg_disks: list[int]
-    opt_disks: list[int]
-    pstar_count: int
-    palg_count: int
+    """A grid cell's algorithm disk indices and optimum disks (internal ones,
+    or one padding dummy), with the two point counts the group test sums."""
+
+    alg_disks: list[int] = field(default_factory=list)
+    opt_disks: list[UnitDisk] = field(default_factory=list)
+    pstar_count: int = 0
+    palg_count: int = 0
 
 
 @dataclass
@@ -362,17 +364,14 @@ def _swap_everything(state: EngineState, disks: list[UnitDisk], branch: Branch) 
     return Swap(s_old=list(range(len(state.disks))), s_new=list(disks), branch=branch)
 
 
-def find_valid_swap(state: EngineState, opt_sol: Solution | None = None) -> Swap:
-    """Construct a coverage-increasing swap of bounded size.
+def find_valid_swap(state: EngineState, opt_sol: Solution) -> Swap:
+    """Plan a coverage-increasing swap of bounded size; solves and changes nothing.
 
-    Precondition: the oracle optimum strictly exceeds ``(1+epsilon)`` times the
-    current coverage and ``m`` is above the trivial threshold.
+    ``opt_sol`` is the oracle optimum for ``state.points``.  Precondition: its
+    value strictly exceeds ``(1+epsilon)`` times the current coverage and ``m``
+    is above the trivial threshold.
     """
     cfg = state.config
-    if opt_sol is None:
-        opt_sol = solve(state.points, cfg.m, cfg.solver, cfg.node_budget)
-    cur = state.alg_value
-
     try:
         grid = select_grid(
             opt_sol.disks,
@@ -388,33 +387,28 @@ def find_valid_swap(state: EngineState, opt_sol: Solution | None = None) -> Swap
             return _swap_everything(state, opt_sol.disks, Branch.TRIVIAL_SWAP_ALL)
         raise
 
+    # The optimum's points that no boundary disk of the algorithm holds are
+    # reliably new; only the optimum's internal disks count them.
     alg_boundary = [is_boundary(d, grid) for d in state.disks]
-    opt_boundary = [is_boundary(d, grid) for d in opt_sol.disks]
-    boundary_alg_points = {
-        p for p, i in state.assignment.items() if alg_boundary[i]
-    }
-
+    boundary_held = {p for p, i in state.assignment.items() if alg_boundary[i]}
+    reliably_new = Counter(
+        k for p, k in opt_sol.assignment.items() if p not in boundary_held
+    )
     alg_counts = Counter(state.assignment.values())
-    cell_alg: dict[CellId, list[int]] = defaultdict(list)
-    for i, d in enumerate(state.disks):
-        cell_alg[cell_of(d.center, grid)].append(i)
-
-    opt_points: dict[int, list[Point]] = defaultdict(list)
-    for p, k in opt_sol.assignment.items():
-        opt_points[k].append(p)
-    cell_opt: dict[CellId, list[int]] = defaultdict(list)
-    pstar_cell: dict[CellId, int] = defaultdict(int)
+    records: dict[CellId, CellRecord] = defaultdict(CellRecord)
     for k, d in enumerate(opt_sol.disks):
-        if opt_boundary[k]:
-            continue
-        cell = cell_of(d.center, grid)
-        cell_opt[cell].append(k)
-        pstar_cell[cell] += sum(
-            1 for p in opt_points[k] if p not in boundary_alg_points
-        )
+        if not is_boundary(d, grid):
+            rec = records[cell_of(d.center, grid)]
+            rec.opt_disks.append(d)
+            rec.pstar_count += reliably_new[k]
+    internal_opt = [d for rec in records.values() for d in rec.opt_disks]
+    for i, d in enumerate(state.disks):
+        rec = records[cell_of(d.center, grid)]
+        rec.alg_disks.append(i)
+        rec.palg_count += alg_counts[i]
 
-    pstar_total = sum(pstar_cell.values())
-    if pstar_total < (1 + cfg.epsilon_exact / 4) * cur:
+    pstar_total = sum(rec.pstar_count for rec in records.values())
+    if pstar_total < (1 + cfg.epsilon_exact / 4) * state.alg_value:
         raise EngineInvariantError(
             "internal-optimum surplus bound violated after grid selection"
         )
@@ -422,55 +416,39 @@ def find_valid_swap(state: EngineState, opt_sol: Solution | None = None) -> Swap
     # A cell holding more algorithm disks than a full cell cover admits a
     # direct swap: retile the cell and add one disk on an uncovered point.
     overflow = sorted(
-        c for c, idxs in cell_alg.items() if len(idxs) > cfg.cover_budget
+        c for c, rec in records.items() if len(rec.alg_disks) > cfg.cover_budget
     )
     if overflow:
         cell = overflow[0]
         tiles = cell_cover(cell, grid)
         uncovered = min(p for p in state.points if p not in state.assignment)
         s_new = tiles + [UnitDisk(uncovered)]
-        ordered = sorted(cell_alg[cell], key=lambda i: (alg_boundary[i], i))
+        ordered = sorted(records[cell].alg_disks, key=lambda i: (alg_boundary[i], i))
         return Swap(s_old=ordered[: len(s_new)], s_new=s_new, branch=Branch.CELL_OVERFLOW)
 
-    # Pad the internal optimum to m disks with point-free dummies in fresh
-    # cells, then order cells so every prefix is balanced.
-    internal_opt = [opt_sol.disks[k] for c in cell_opt for k in cell_opt[c]]
-    occupied = set(cell_alg) | set(cell_opt)
-    min_y = min((p.y for p in state.points), default=0.0)
-    min_y = min([min_y] + [d.center.y for d in state.disks])
-    dummies = pad_opt(internal_opt, cfg.m, occupied, grid, min_y)
-
-    records: dict[CellId, CellRecord] = {}
-    for cell in occupied:
-        records[cell] = CellRecord(
-            cell=cell,
-            alg_disks=sorted(cell_alg.get(cell, [])),
-            opt_disks=sorted(cell_opt.get(cell, [])),
-            pstar_count=pstar_cell.get(cell, 0),
-            palg_count=sum(alg_counts[i] for i in cell_alg.get(cell, [])),
-        )
-    dummy_cells: dict[CellId, UnitDisk] = {}
+    # Pad the internal optimum to m disks with point-free dummies, each the
+    # lone optimum disk of a fresh cell, then order cells so every prefix is
+    # balanced.
+    min_y = min([p.y for p in state.points] + [d.center.y for d in state.disks])
+    dummies = pad_opt(internal_opt, cfg.m, set(records), grid, min_y)
     for d in dummies:
-        cell = cell_of(d.center, grid)
-        dummy_cells[cell] = d
-        records[cell] = CellRecord(cell, [], [], 0, 0)
+        records[cell_of(d.center, grid)].opt_disks.append(d)
+    padded = internal_opt + dummies
 
-    cell_items = [
-        (cell, len(rec.alg_disks), len(rec.opt_disks) + (1 if cell in dummy_cells else 0))
-        for cell, rec in sorted(records.items())
-    ]
+    def counts(cell: CellId) -> tuple[CellId, int, int]:
+        return (cell, len(records[cell].alg_disks), len(records[cell].opt_disks))
+
+    cell_items = [counts(cell) for cell in sorted(records)]
     cell_bound = max(
         [cfg.cover_budget]
         + [it[1] for it in cell_items]
         + [it[2] for it in cell_items]
     )
-    order = prefix_balanced_order(cell_items, cell_bound)
-    count_by_cell = {it[0]: it for it in cell_items}
-    ordered = [count_by_cell[c] for c in order]
+    ordered = [counts(cell) for cell in prefix_balanced_order(cell_items, cell_bound)]
 
     blocks = make_blocks(ordered, cfg.block_min, cfg.block_max)
     if len(blocks) < 3 * cfg.kappa:
-        return _swap_everything(state, internal_opt + dummies, Branch.FEW_BLOCKS_SWAP_ALL)
+        return _swap_everything(state, padded, Branch.FEW_BLOCKS_SWAP_ALL)
 
     block_items = [(rank, b.alg_total, b.opt_total) for rank, b in enumerate(blocks)]
     block_bound = max(
@@ -484,37 +462,27 @@ def find_valid_swap(state: EngineState, opt_sol: Solution | None = None) -> Swap
     stats = []
     for b in ordered_blocks:
         cells = [records[it[0]] for it in b.items]
-        stats.append(
-            (
-                sum(len(r.alg_disks) for r in cells),
-                sum(it[2] for it in b.items),
-                sum(r.pstar_count for r in cells),
-                sum(r.palg_count for r in cells),
-            )
-        )
+        stats.append((
+            b.alg_total,
+            b.opt_total,
+            sum(r.pstar_count for r in cells),
+            sum(r.palg_count for r in cells),
+        ))
     choice = select_group(stats, cfg.kappa, cfg.extend)
     if choice is None:
         if cfg.scaled_mode:
-            return _swap_everything(state, internal_opt + dummies, Branch.FEW_BLOCKS_SWAP_ALL)
+            return _swap_everything(state, padded, Branch.FEW_BLOCKS_SWAP_ALL)
         raise EngineInvariantError("no qualifying group found")
 
     lo, hi = choice.group
     es, ee = choice.extension
-    s_old: list[int] = []
-    for b in ordered_blocks[lo:hi] + ordered_blocks[es:ee]:
-        for it in b.items:
-            s_old.extend(records[it[0]].alg_disks)
-    s_new: list[UnitDisk] = []
-    for b in ordered_blocks[lo:hi]:
-        for it in b.items:
-            cell = it[0]
-            s_new.extend(opt_sol.disks[k] for k in records[cell].opt_disks)
-            if cell in dummy_cells:
-                s_new.append(dummy_cells[cell])
-    s_old = sorted(set(s_old))
+    group = [records[it[0]] for b in ordered_blocks[lo:hi] for it in b.items]
+    extension = [records[it[0]] for b in ordered_blocks[es:ee] for it in b.items]
+    s_old = sorted({i for rec in group + extension for i in rec.alg_disks})
+    s_new = [d for rec in group for d in rec.opt_disks]
     if len(s_new) > len(s_old):
         if cfg.scaled_mode:
-            return _swap_everything(state, internal_opt + dummies, Branch.FEW_BLOCKS_SWAP_ALL)
+            return _swap_everything(state, padded, Branch.FEW_BLOCKS_SWAP_ALL)
         raise EngineInvariantError("replacement larger than removal set")
     return Swap(s_old=s_old, s_new=s_new, branch=Branch.GROUP_SWAP)
 

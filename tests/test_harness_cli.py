@@ -152,6 +152,9 @@ def test_run_rejects_invalid_m():
         run(RunConfig(engine="exact_maintainer", m=0), stream)
 
 
+LINE_TRIPLE = "line 1 0 0\nline 0 1 0\nline 1 1 -1\n"
+
+
 @pytest.mark.parametrize(
     "argv, stream_text",
     [
@@ -164,9 +167,16 @@ def test_run_rejects_invalid_m():
         (["gen", "lines", "--m", "4"], None),
         (["run", "--stream", "STREAM", "--scaled", "node_budget=1"],
          "insert 1.0 1.0\ninsert 1.2 1.0\n"),
+        (["run", "--stream", "STREAM", "--engine", "exact_maintainer", "--m", "2",
+          "--scaled", "foo=1", "--epsilon", "0.9"], "insert 1.0 1.0\n"),
+        (["run", "--stream", "STREAM", "--engine", "greedy_hitting", "--epsilon", "0.9"],
+         LINE_TRIPLE),
+        (["run", "--stream", "STREAM", "--engine", "exact_hitting", "--epsilon", "0.9"],
+         LINE_TRIPLE),
     ],
     ids=["nan", "inf", "missing-stream", "scaled-not-a-number", "scaled-unknown-key",
-         "epsilon-out-of-range", "lines-m-not-divisible-by-3", "solver-budget"],
+         "epsilon-out-of-range", "lines-m-not-divisible-by-3", "solver-budget",
+         "exact-maintainer-bad-options", "greedy-hitting-epsilon", "exact-hitting-epsilon"],
 )
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, stream_text):
     stream_path = tmp_path / "s.txt"

@@ -1,8 +1,9 @@
-"""Property test of the point replay loop over random insert/delete streams.
+"""Property tests of the point engines over random insert/delete streams.
 
 Each generated stream is replayed by ``stablecover run`` through one point
 engine; every report row must meet that engine's guarantee, and
-``stablecover verify`` must accept the report.
+``stablecover verify`` must accept the report.  Under a small search budget,
+an update that runs out of budget must leave the engine state as it was.
 """
 
 import tempfile
@@ -12,9 +13,11 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablecover.baseline import update2
 from stablecover.geometry import Point
 from stablecover.harness_cli import POINT_ENGINES, format_point_event, main
-from stablecover.sas_engine import Branch, EngineConfig, within_ratio
+from stablecover.sas_engine import Branch, EngineConfig, EngineState, update, within_ratio
+from stablecover.static_solver import DEFAULT_NODE_BUDGET, SolverBudgetError
 
 
 @st.composite
@@ -66,3 +69,28 @@ def test_point_replay_meets_guarantee_and_verifies(events, m, engine, epsilon):
         for row in rows:
             assert_guarantee(engine, m, epsilon, row)
         assert main(["verify", *options, "--report", str(report)]) == 0
+
+
+def snapshot(state):
+    return (state.t, set(state.points), list(state.disks), dict(state.assignment))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    events=point_streams(),
+    m=st.integers(1, 4),
+    budget=st.integers(1, 60),
+    step=st.sampled_from([update, update2]),
+)
+def test_update_out_of_budget_leaves_state_untouched(events, m, budget, step):
+    state = EngineState(config=EngineConfig(m=m, epsilon=0.25, node_budget=budget))
+    for op, p in events:
+        before = snapshot(state)
+        try:
+            step(state, op, p)
+        except SolverBudgetError:
+            assert snapshot(state) == before
+            # The restored state takes the same event under the full budget.
+            state.config.node_budget = DEFAULT_NODE_BUDGET
+            step(state, op, p)
+            state.config.node_budget = budget

@@ -10,6 +10,7 @@ from stablecover.sas_engine import (
     EngineConfig,
     EngineState,
     StreamError,
+    Swap,
     apply_swap,
     extended_range,
     find_valid_swap,
@@ -339,6 +340,10 @@ def eight_singles_and_cluster():
     return points, disks
 
 
+def disks_at(*centers):
+    return [UnitDisk(Point(x, y)) for x, y in centers]
+
+
 def test_group_swap_on_crafted_instance():
     cfg = scaled_config()
     points, disks = eight_singles_and_cluster()
@@ -346,9 +351,8 @@ def test_group_swap_on_crafted_instance():
         config=cfg, points=points, disks=disks, assignment=assign_points(points, disks)
     )
     before = state.alg_value
-    swap = find_valid_swap(state)
-    assert swap.branch is Branch.GROUP_SWAP
-    assert len(swap.s_new) <= len(swap.s_old)
+    swap = find_valid_swap(state, solve(state.points, cfg.m))
+    assert swap == Swap([0, 1, 7], disks_at((2.0, 2.0), (1.9, 5.9)), Branch.GROUP_SWAP)
     churn = apply_swap(state, swap)
     assert state.alg_value >= before + 1
     assert churn <= 2 * (cfg.kappa + cfg.extend) * cfg.block_max
@@ -361,9 +365,12 @@ def test_few_blocks_swap_all_when_kappa_large():
     state = EngineState(
         config=cfg, points=points, disks=disks, assignment=assign_points(points, disks)
     )
-    swap = find_valid_swap(state)
-    assert swap.branch is Branch.FEW_BLOCKS_SWAP_ALL
-    assert len(swap.s_old) == cfg.m
+    swap = find_valid_swap(state, solve(state.points, cfg.m))
+    # Every optimum disk is internal, so the whole optimum comes in, no dummy.
+    singles = [(4.0 * i + 2.0, 2.0) for i in range(7)]
+    assert swap == Swap(
+        list(range(8)), disks_at((1.9, 5.9), *singles), Branch.FEW_BLOCKS_SWAP_ALL
+    )
     before = state.alg_value
     apply_swap(state, swap)
     assert state.alg_value >= before + 1
@@ -387,26 +394,50 @@ def test_cell_overflow_swap():
         config=cfg, points=points, disks=disks, assignment=assign_points(points, disks)
     )
     before = state.alg_value
-    swap = find_valid_swap(state)
-    assert swap.branch is Branch.CELL_OVERFLOW
+    swap = find_valid_swap(state, solve(state.points, cfg.m))
+    # Cell (0, 0) retiled by 3x3 tiles of side sqrt(2), plus the least
+    # uncovered point; the cell's ten disks all go.
+    tiles = [
+        (x, y)
+        for y in (0.7071067811865476, 2.121320343559643, 3.5355339059327378)
+        for x in (0.7071067811865476, 2.121320343559643, 3.5355339059327378)
+    ]
+    assert swap == Swap(
+        list(range(10)), disks_at(*tiles, (5.8, 5.8)), Branch.CELL_OVERFLOW
+    )
     assert len(swap.s_old) == len(swap.s_new) == cfg.cover_budget + 1
     churn = apply_swap(state, swap)
     assert state.alg_value >= before + 1
     assert churn <= cfg.churn_bound(Branch.CELL_OVERFLOW)
 
 
-def test_group_swap_blocks_obey_range_imbalance():
-    # Consecutive ranges of the prefix-balanced block ordering can differ by
-    # at most twice the prefix bound; verified on the crafted instance by
-    # replaying the pipeline pieces directly.
-    cfg = scaled_config()
-    points, disks = eight_singles_and_cluster()
+@pytest.mark.parametrize(
+    "kappa, want",
+    [
+        (2, Swap([0, 5, 6, 7], disks_at((2.0, -6.0), (1.9, 5.9), (1.9, 6.1)),
+                 Branch.GROUP_SWAP)),
+        (3, Swap(list(range(8)),
+                 disks_at((1.9, 5.9), (1.9, 6.1), (2.0, 2.0), (6.0, 2.0), (10.0, 2.0),
+                          (14.0, 2.0), (18.0, 2.0), (2.0, -6.0)),
+                 Branch.FEW_BLOCKS_SWAP_ALL)),
+    ],
+)
+def test_padding_dummy_in_planned_swap(kappa, want):
+    # The optimum's disk on (30, 4) crosses the grid line y = 4, so seven
+    # internal disks and one dummy, centred in the fresh cell (0, -2), make m.
+    cfg = scaled_config(kappa=kappa)
+    singles = [Point(4.0 * i + 2.0, 2.0) for i in range(5)]
+    cluster = [Point(2.0 + dx, 6.0 + dy) for dx in (-0.1, 0.1) for dy in (-0.1, 0.1)]
+    points = set(singles + cluster + [Point(30.0, 4.0)])
+    disks = [UnitDisk(c) for c in singles] + disks_at((-6.0, 2.0), (-2.0, 2.0), (2.0, 2.0))
     state = EngineState(
         config=cfg, points=points, disks=disks, assignment=assign_points(points, disks)
     )
-    opt_sol = solve(points, cfg.m)
-    swap = find_valid_swap(state, opt_sol)
-    assert swap.branch is Branch.GROUP_SWAP
+    swap = find_valid_swap(state, solve(state.points, cfg.m))
+    assert swap == want
+    before = state.alg_value
+    apply_swap(state, swap)
+    assert state.alg_value >= before + 1
 
 
 def test_solver_budget_error_propagates():
