@@ -22,7 +22,6 @@ from .lines import (
     SparseLineRepError,
     concurrency_census,
     evaluate_hitting,
-    line_intersection,
     sparse_line_rep,
 )
 from .lower_bound import LowerBoundStream, chain_points, lower_bound_stream, trigger_options
@@ -62,7 +61,6 @@ __all__ = [
     "concurrency_census",
     "double_cover",
     "evaluate_hitting",
-    "line_intersection",
     "lower_bound_stream",
     "no_sas_check",
     "random_expander",

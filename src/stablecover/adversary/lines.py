@@ -4,6 +4,15 @@ A graph is drawn with vertices on a cubic curve and edges as infinite lines;
 the drawing is verified exactly so that three-or-more-line concurrences occur
 only at vertex points and no point lies on five lines.  Floating point is
 forbidden in this module: concurrency counts are the whole point.
+
+Incidence is integer arithmetic.  A line ``(a, b, c)`` contains ``(x, y)``
+when ``a*x + b*y + c`` vanishes, tested with the fractions' numerators and
+denominators cross-multiplied.  Two lines meet at the cross product of their
+coefficient triples, the homogeneous point ``(X, Y, W)`` standing for
+``(X/W, Y/W)``; divided by ``gcd(X, Y, W)`` and signed so ``W > 0`` it is the
+one key of that point (parallel lines give ``W == 0`` and meet nowhere).
+``_meets`` tables every pairwise meet under that key; the census, the
+sparsity check and the hitting-set candidates and masks are read from it.
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ from math import gcd
 from typing import Iterable, Sequence
 
 RationalPoint = tuple[Fraction, Fraction]
+# Homogeneous integer point (X, Y, W), gcd 1 and W > 0, standing for (X/W, Y/W).
+PointKey = tuple[int, int, int]
 
 
 class SparseLineRepError(Exception):
@@ -51,16 +62,9 @@ class RationalLine:
         return RationalLine.normalized(a, b, c)
 
     def contains(self, p: RationalPoint) -> bool:
-        return self.a * p[0] + self.b * p[1] + self.c == 0
-
-
-def line_intersection(l1: RationalLine, l2: RationalLine) -> RationalPoint | None:
-    det = l1.a * l2.b - l2.a * l1.b
-    if det == 0:
-        return None
-    x = Fraction(l1.b * l2.c - l2.b * l1.c, det)
-    y = Fraction(l2.a * l1.c - l1.a * l2.c, det)
-    return (x, y)
+        x, y = p
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        return self.a * xn * yd + self.b * yn * xd + self.c * xd * yd == 0
 
 
 @dataclass
@@ -86,16 +90,60 @@ def _norm(e: tuple[int, int]) -> tuple[int, int]:
     return (u, w) if u < w else (w, u)
 
 
+def _key(x: int, y: int, w: int) -> PointKey:
+    """The key of the homogeneous point ``(x, y, w)``, ``w != 0``."""
+    g = gcd(x, y, w) if w > 0 else -gcd(x, y, w)
+    return (x // g, y // g, w // g)
+
+
+def _key_of(p: RationalPoint) -> PointKey:
+    """The homogeneous key of a rational point."""
+    x, y = p
+    xd, yd = x.denominator, y.denominator
+    w = xd * yd // gcd(xd, yd)
+    return (x.numerator * (w // xd), y.numerator * (w // yd), w)
+
+
+def _point_of(key: PointKey) -> RationalPoint:
+    """The rational point a key stands for."""
+    x, y, w = key
+    return (Fraction(x, w), Fraction(y, w))
+
+
+def _meets(lines: Sequence[RationalLine]) -> dict[PointKey, int]:
+    """Every pairwise intersection, keyed by its point, mapped to the bitmask
+    of the lines through it, in first-seen ``(i, j)`` pair order.
+
+    A line through a meet of two non-parallel lines meets one of them there,
+    so each mask holds every line through its point, duplicates included.
+    """
+    coeffs = [(ln.a, ln.b, ln.c) for ln in lines]
+    table: dict[PointKey, int] = {}
+    for i, (a1, b1, c1) in enumerate(coeffs):
+        bit_i = 1 << i
+        for j in range(i + 1, len(coeffs)):
+            a2, b2, c2 = coeffs[j]
+            w = a1 * b2 - a2 * b1
+            if w == 0:
+                continue
+            key = _key(b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, w)
+            table[key] = table.get(key, 0) | bit_i | (1 << j)
+    return table
+
+
+def _indices(mask: int) -> list[int]:
+    """The line indices set in a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def concurrency_census(lines: Sequence[RationalLine]) -> dict[RationalPoint, set[int]]:
     """Map of every pairwise intersection point to the lines through it."""
-    census: dict[RationalPoint, set[int]] = {}
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            pt = line_intersection(lines[i], lines[j])
-            if pt is None:
-                continue
-            census.setdefault(pt, set()).update((i, j))
-    return census
+    return {_point_of(key): set(_indices(mask)) for key, mask in _meets(lines).items()}
 
 
 def verify_sparse(
@@ -128,15 +176,13 @@ def verify_sparse(
             if not on and ln in incident[v]:
                 return v
 
-    vertex_points = {pos: v for v, pos in positions.items()}
-    for pt, through in concurrency_census(line_seq).items():
-        if len(through) > 4:
-            owner = vertex_points.get(pt)
-            if owner is not None:
-                return owner
-            return max(v for i in through for v in edge_order[i])
-        if len(through) >= 3 and pt not in vertex_points:
-            return max(v for i in through for v in edge_order[i])
+    vertex_keys = {_key_of(pos): v for v, pos in positions.items()}
+    for key, mask in _meets(line_seq).items():
+        through = mask.bit_count()
+        if through > 4 and key in vertex_keys:
+            return vertex_keys[key]
+        if through >= 3 and key not in vertex_keys:
+            return max(v for i in _indices(mask) for v in edge_order[i])
     return None
 
 
@@ -175,6 +221,11 @@ def sparse_line_rep(
 def evaluate_hitting(
     points: Iterable[RationalPoint], lines: Sequence[RationalLine]
 ) -> int:
-    """Exact count of lines incident to at least one of the points."""
+    """Exact count of lines incident to at least one of the points.
+
+    A direct ``contains`` test per line and point, sharing no code with the
+    meet table behind the engines' masks: the harness's recount stays an
+    independent check on them.
+    """
     pts = list(points)
     return sum(1 for ln in lines if any(ln.contains(p) for p in pts))

@@ -24,11 +24,15 @@ from ..static_solver import (
 )
 from .expander import BipartiteExpander, build_GmL, build_GmR, random_expander
 from .lines import (
+    PointKey,
     RationalLine,
     RationalPoint,
     SparseLineRep,
+    _key,
+    _key_of,
+    _meets,
     _norm,
-    line_intersection,
+    _point_of,
     sparse_line_rep,
 )
 
@@ -161,40 +165,34 @@ def adaptive_line_stream(
 # Hitting-set maintainers: choose m points stabbing many lines.
 
 
+def _candidate_table(lines: Sequence[RationalLine]) -> dict[PointKey, int]:
+    """Each candidate's key mapped to the bitmask of the lines through it.
+
+    The meets come first; then each line's own point (on the y-axis, or on
+    the x-axis for a vertical line) joins in line order.  An own point that is
+    no meet lies on no other line but the line's duplicates, whose bits it
+    collects; one that is a meet already holds the line's bit.
+    """
+    table = _meets(lines)
+    for i, ln in enumerate(lines):
+        key = _key(0, -ln.c, ln.b) if ln.b != 0 else _key(-ln.c, 0, ln.a)
+        table[key] = table.get(key, 0) | (1 << i)
+    return table
+
+
 def hitting_candidates(lines: Sequence[RationalLine]) -> list[RationalPoint]:
-    """Pairwise intersections plus one canonical point per line."""
-    cands: list[RationalPoint] = []
-    seen: set[RationalPoint] = set()
-
-    def emit(p: RationalPoint) -> None:
-        if p not in seen:
-            seen.add(p)
-            cands.append(p)
-
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            pt = line_intersection(lines[i], lines[j])
-            if pt is not None:
-                emit(pt)
-    for ln in lines:
-        if ln.b != 0:
-            emit((Fraction(0), Fraction(-ln.c, ln.b)))
-        else:
-            emit((Fraction(-ln.c, ln.a), Fraction(0)))
-    return cands
+    """Pairwise intersections plus one canonical point per line, deduplicated,
+    in first-seen order."""
+    return [_point_of(key) for key in _candidate_table(lines)]
 
 
 def _hitting_masks(
     lines: Sequence[RationalLine], cands: Sequence[RationalPoint]
 ) -> list[int]:
-    masks = []
-    for p in cands:
-        mask = 0
-        for i, ln in enumerate(lines):
-            if ln.contains(p):
-                mask |= 1 << i
-        masks.append(mask)
-    return masks
+    """Bitmask of the lines through each candidate, looked up by its key;
+    ``cands`` must come from :func:`hitting_candidates` over ``lines``."""
+    table = _candidate_table(lines)
+    return [table[_key_of(p)] for p in cands]
 
 
 def _far_point(index: int, lines: Sequence[RationalLine]) -> RationalPoint:

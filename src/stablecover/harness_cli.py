@@ -247,6 +247,11 @@ def run_lines(
     ``maintainer`` (anything with ``apply_triple`` and ``solution()``) stands
     in for the configured engine, held to no engine's guarantee; ``steps`` may
     be a schedule that probes it, such as ``adaptive_line_stream``.
+
+    The algorithm's value is recounted by ``evaluate_hitting``, a direct
+    ``contains`` test per line and point that shares no code with the meet
+    table behind the engines' masks (and this loop's own re-solve), so a
+    wrong mask cannot confirm itself.
     """
     engine = None
     if maintainer is None:

@@ -62,9 +62,10 @@ class EngineConfig:
     A derived constant left as ``None`` follows its standard formula in
     ``epsilon`` (ceilings applied to every ``1/epsilon`` power).  Overrides
     apply in either mode and let the pipeline run at desk scale, where its
-    guarantees are no longer promised; ``scaled_mode`` only turns the three
-    fallbacks on: a failed grid selection, a failed group search or an
-    oversized replacement then swaps everything instead of raising.
+    guarantees are no longer promised; ``scaled_mode`` only turns the four
+    fallbacks on: a failed grid selection, a failed group search, an
+    oversized replacement or a group swap over its churn bound then swaps
+    everything instead of raising.
     """
 
     m: int
@@ -484,7 +485,17 @@ def find_valid_swap(state: EngineState, opt_sol: Solution) -> Swap:
         if cfg.scaled_mode:
             return _swap_everything(state, padded, Branch.FEW_BLOCKS_SWAP_ALL)
         raise EngineInvariantError("replacement larger than removal set")
-    return Swap(s_old=s_old, s_new=s_new, branch=Branch.GROUP_SWAP)
+    # Blocks close at block_min, so one can hold more than block_max disks:
+    # the plan's exact churn, as step will count it, must meet the bound.
+    swap = Swap(s_old=s_old, s_new=s_new, branch=Branch.GROUP_SWAP)
+    churn = disk_churn(state.disks, swapped_disks(state, swap))
+    if churn > cfg.churn_bound(Branch.GROUP_SWAP):
+        if cfg.scaled_mode:
+            return _swap_everything(state, padded, Branch.FEW_BLOCKS_SWAP_ALL)
+        raise EngineInvariantError(
+            f"group swap churn {churn} exceeds bound {cfg.churn_bound(Branch.GROUP_SWAP)}"
+        )
+    return swap
 
 
 def apply_event(state: EngineState, op: str, p: Point) -> None:
@@ -521,8 +532,8 @@ def replace_disks(state: EngineState, disks: list[UnitDisk]) -> int:
     return disk_churn(old, disks)
 
 
-def apply_swap(state: EngineState, swap: Swap) -> int:
-    """Replace the swap's old disks, pad back to m, recount; returns churn."""
+def swapped_disks(state: EngineState, swap: Swap) -> list[UnitDisk]:
+    """The solution after the swap: old disks out, new ones in, padded to m."""
     removed = set(swap.s_old)
     disks = [d for i, d in enumerate(state.disks) if i not in removed] + list(swap.s_new)
     deficit = state.config.m - len(disks)
@@ -532,7 +543,12 @@ def apply_swap(state: EngineState, swap: Swap) -> int:
             + [p.y for p in state.points]
         )
         disks += pad_disks(deficit, min_y)
-    return replace_disks(state, disks)
+    return disks
+
+
+def apply_swap(state: EngineState, swap: Swap) -> int:
+    """Replace the swap's old disks, pad back to m, recount; returns churn."""
+    return replace_disks(state, swapped_disks(state, swap))
 
 
 def atomic(update_fn):

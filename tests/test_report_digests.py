@@ -3,7 +3,9 @@
 A change that must keep reports byte-identical keeps these digests.  The
 streams cover both SAS tolerances the tests use, the scaled pipeline up to
 ``GroupSwap``, the 2-stable baseline, the exact maintainer (random and
-lower-bound streams) and both hitting maintainers.
+lower-bound streams) and the hitting maintainers on line streams (greedy at
+m 6, 9 and 12, exact at m 6 and 9).  The generated line text at m 9 and 12
+has digests of its own.
 """
 
 import functools
@@ -64,6 +66,25 @@ CASES = {
         RunConfig(engine="exact_hitting", m=6), gen_lines(6, seed=1),
         "d0e49d934938000d8f6ace247244eb5a70cd7d846a4f72b7f7ed1154e8ccfc18",
     ),
+    "greedy-hitting-m9": (
+        RunConfig(engine="greedy_hitting", m=9), gen_lines(9, seed=1),
+        "06fe731c71eb92aaefe2ad8c6380fedfc392b3600287da74559c250da1a46ba9",
+    ),
+    "greedy-hitting-m12": (
+        RunConfig(engine="greedy_hitting", m=12), gen_lines(12, seed=1),
+        "56d8d2e033056b744cf3446db58848a4c3ea613220b648dd0ad9af86ddb54590",
+    ),
+    "exact-hitting-m9": (
+        RunConfig(engine="exact_hitting", m=9), gen_lines(9, seed=1),
+        "ac486b1b8abb3e344d064d144accff074e49e07cec2f91d1022cdde146f02f0a",
+    ),
+}
+
+# The generated line streams themselves: their text pins the drawing,
+# that is sparse_line_rep's retries through verify_sparse and the census.
+GEN_LINES = {
+    9: "b0e50240ae2dea632d5ce251df1c815cd5ff50f8f2bb41ff5ab3b82a9989a22c",
+    12: "5cb50f29ef0dcbd5d639bbf4a649f684116db6f8d3860603783c1398776e3379",
 }
 
 
@@ -81,3 +102,9 @@ def test_report_digest_unchanged(name):
 def test_scaled_stream_reaches_group_swap():
     branches = {row.split(",")[6] for row in report("sas-greedy-scaled").splitlines()[1:-1]}
     assert {"TrivialSwapAll", "GroupSwap"} <= branches
+
+
+@pytest.mark.parametrize("m", sorted(GEN_LINES))
+def test_gen_lines_digest_unchanged(m):
+    text = "\n".join(gen_lines(m, seed=1)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == GEN_LINES[m]

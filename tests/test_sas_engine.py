@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,9 +9,11 @@ from stablecover.geometry import Point, UnitDisk, assign_points, cell_of, is_bou
 from stablecover.sas_engine import (
     Branch,
     EngineConfig,
+    EngineInvariantError,
     EngineState,
     StreamError,
     Swap,
+    apply_event,
     apply_swap,
     extended_range,
     find_valid_swap,
@@ -23,7 +26,8 @@ from stablecover.sas_engine import (
     within_ratio,
 )
 from stablecover.geometry import GridSpec
-from stablecover.static_solver import SolverBudgetError, solve
+from stablecover.harness_cli import gen_random, parse_stream
+from stablecover.static_solver import SolverBudgetError, SolverKind, solve
 
 
 def test_config_defaults_quarter_epsilon():
@@ -560,3 +564,44 @@ def test_ratio_test_is_exact():
     assert not within_ratio(116, 100, Fraction("0.15"))
     assert within_ratio(125, 100, Fraction("0.25"))
     assert not within_ratio(1, 0, Fraction("0.25"))
+
+
+# Blocks close once they reach block_min = 2, so a block can hold more than
+# block_max = 2 disks: at t=6 of this stream the planned group swap would
+# change 14 disks against a GroupSwap bound of 2*(kappa+extend)*block_max = 12.
+def oversized_block_config():
+    return EngineConfig(
+        m=16, epsilon=0.25, solver=SolverKind.GREEDY, scaled_mode=True,
+        c_star=1, trivial_threshold=0, kappa=2, extend=1, block_min=2, block_max=2,
+        balance_cells=2, balance_blocks=6, grid_shifts=3, grid_edge=6,
+    )
+
+
+def oversized_block_events():
+    rows = gen_random(120, 20.0, seed=3, delete_prob=0.2)
+    return parse_stream("\n".join(rows) + "\n").point_events
+
+
+def test_group_swap_over_churn_bound_falls_back_in_scaled_mode():
+    cfg = oversized_block_config()
+    state = EngineState(config=cfg)
+    branches = []
+    for op, p in oversized_block_events():
+        rep = update(state, op, p)
+        assert rep.churn <= cfg.churn_bound(rep.branch), rep
+        branches.append(rep.branch)
+    assert branches[5] is Branch.FEW_BLOCKS_SWAP_ALL
+    assert Branch.GROUP_SWAP in branches
+
+
+def test_group_swap_over_churn_bound_raises_outside_scaled_mode():
+    cfg = oversized_block_config()
+    state = EngineState(config=cfg)
+    events = oversized_block_events()
+    for op, p in events[:5]:
+        update(state, op, p)
+    state.config = dataclasses.replace(cfg, scaled_mode=False)
+    apply_event(state, *events[5])
+    opt_sol = solve(state.points, cfg.m, cfg.solver)
+    with pytest.raises(EngineInvariantError, match="group swap churn 14 exceeds bound 12"):
+        find_valid_swap(state, opt_sol)
