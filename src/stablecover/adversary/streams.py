@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 # disk_churn is re-exported: callers and the benchmark's spans find it here.
 from ..geometry import Point, UnitDisk, disk_churn  # noqa: F401
 from ..static_solver import (
+    DEFAULT_NODE_BUDGET,
+    CandidateIndex,
     SolverKind,
     _greedy_masks,
     max_coverage_masks,
@@ -46,20 +48,35 @@ class ProbeError(Exception):
 
 
 class ExactMaintainer:
-    """Recomputes the canonical optimum from scratch after every event."""
+    """Recomputes the canonical optimum after every event.
 
-    def __init__(self, m: int, kind: SolverKind = SolverKind.EXACT):
+    The candidates come from a :class:`CandidateIndex` kept across events.  An
+    event applies fully or not at all: if the solve raises (say, out of its
+    node budget), the point set and the disks stay as they were.
+    """
+
+    def __init__(
+        self,
+        m: int,
+        kind: SolverKind = SolverKind.EXACT,
+        node_budget: int = DEFAULT_NODE_BUDGET,
+    ):
         self.m = m
         self.kind = kind
-        self.points: set[Point] = set()
+        self.node_budget = node_budget
+        self.index = CandidateIndex()
         self.disks = pad_disks(m)
 
     def apply(self, op: str, p: Point) -> None:
-        if op == "insert":
-            self.points.add(p)
-        else:
-            self.points.remove(p)
-        self.disks = solve(self.points, self.m, self.kind).disks
+        index = self.index
+        do, undo = (index.add, index.remove) if op == "insert" else (index.remove, index.add)
+        do(p)
+        try:
+            sol = solve(index.points, self.m, self.kind, self.node_budget, index=index)
+            self.disks = sol.disks
+        except BaseException:
+            undo(p)
+            raise
 
     def solution(self) -> list[UnitDisk]:
         return list(self.disks)

@@ -16,7 +16,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, KeysView
 
 from .geometry import (
     Assignment,
@@ -35,7 +35,7 @@ from .geometry import (
     is_boundary,
     select_grid,
 )
-from .static_solver import Solution, SolverKind, pad_disks, solve
+from .static_solver import CandidateIndex, Solution, SolverKind, pad_disks, solve
 
 
 class Branch(Enum):
@@ -133,19 +133,37 @@ class EngineConfig:
         return 2 * (self.kappa + self.extend) * self.block_max
 
 
-@dataclass
 class EngineState:
-    config: EngineConfig
-    t: int = 0
-    points: set[Point] = field(default_factory=set)
-    disks: list[UnitDisk] = field(default_factory=list)
-    assignment: Assignment = field(default_factory=dict)
+    """The engine's time, live points, disks and assignment.
 
-    def __post_init__(self) -> None:
-        if not self.disks:
-            self.disks = pad_disks(self.config.m)
-        if len(self.disks) != self.config.m:
-            raise ValueError(f"need exactly m={self.config.m} disks")
+    The live points are held by a :class:`CandidateIndex`, which the oracle
+    solve reads its candidates from; ``points`` is a read-only view of it, and
+    assigning ``points`` rebuilds the index.
+    """
+
+    def __init__(
+        self,
+        config: EngineConfig,
+        t: int = 0,
+        points: Iterable[Point] = (),
+        disks: list[UnitDisk] | None = None,
+        assignment: Assignment | None = None,
+    ) -> None:
+        self.config = config
+        self.t = t
+        self.points = points
+        self.disks = disks if disks else pad_disks(config.m)
+        self.assignment = {} if assignment is None else assignment
+        if len(self.disks) != config.m:
+            raise ValueError(f"need exactly m={config.m} disks")
+
+    @property
+    def points(self) -> KeysView[Point]:
+        return self.index.points
+
+    @points.setter
+    def points(self, points: Iterable[Point]) -> None:
+        self.index = CandidateIndex(points)
 
     @property
     def alg_value(self) -> int:
@@ -501,17 +519,17 @@ def find_valid_swap(state: EngineState, opt_sol: Solution) -> Swap:
 def apply_event(state: EngineState, op: str, p: Point) -> None:
     """Mutate the point set and keep the assignment consistent."""
     if op == "insert":
-        if p in state.points:
+        if p in state.index:
             raise StreamError(f"insert of already-present point {p}")
-        state.points.add(p)
+        state.index.add(p)
         for i, d in enumerate(state.disks):
             if covers(d, p):
                 state.assignment[p] = i
                 break
     elif op == "delete":
-        if p not in state.points:
+        if p not in state.index:
             raise StreamError(f"delete of absent point {p}")
-        state.points.remove(p)
+        state.index.remove(p)
         state.assignment.pop(p, None)
     else:
         raise StreamError(f"unknown operation {op!r}")
@@ -552,8 +570,9 @@ def apply_swap(state: EngineState, swap: Swap) -> int:
 
 
 def atomic(update_fn):
-    """Make an engine update all-or-nothing: if it raises, ``t``, the points,
-    the disks and the assignment are put back as they were before the call."""
+    """Make an engine update all-or-nothing: if it raises, ``t``, the points
+    (and with them the candidate index), the disks and the assignment are put
+    back as they were before the call."""
 
     @functools.wraps(update_fn)
     def wrapper(state: EngineState, op: str, p: Point) -> UpdateReport:
@@ -585,7 +604,7 @@ def step(
     cfg = state.config
     state.t += 1
     apply_event(state, op, p)
-    opt_sol = solve(state.points, cfg.m, cfg.solver, cfg.node_budget)
+    opt_sol = solve(state.points, cfg.m, cfg.solver, cfg.node_budget, index=state.index)
     if within_ratio(opt_sol.value, state.alg_value, slack):
         churn, branch = 0, Branch.NO_CHANGE
     else:

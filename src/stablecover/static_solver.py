@@ -15,14 +15,25 @@ phases together exhaust the budget: on one draw of 200 uniform points in a
 than 5M.  Both phases are explicit-stack loops whose depth is bounded by
 ``m``, never by the number of masks.  The mask-based search core is shared with the line-hitting
 solver in :mod:`stablecover.adversary`.
+
+Candidates and masks come from one of two paths.  Called with only the
+points, ``solve`` builds them from scratch (:func:`candidate_disks`,
+:func:`coverage_masks`).  The engines instead keep a :class:`CandidateIndex`
+and pass it in: it adds and removes one point's candidates per event, and
+gives the same candidates in the same order with the same masks up to a
+relabelling of the bits, so the solve returns the same result.  The replay
+harness keeps calling the from-scratch path, which makes its re-solve an
+independent check on the index.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from collections import defaultdict
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .geometry import Assignment, Point, UnitDisk, assign_points, covers
 
@@ -45,7 +56,8 @@ class Solution:
 
     ``pick`` returns the chosen candidate indices; for the exact oracle it
     runs the extraction phase, which may raise :class:`SolverBudgetError`.
-    The disks are the picked candidates padded to ``m`` with point-free disks.
+    The disks are the picked candidates padded to ``m`` with point-free disks;
+    the assignment walks the points in sorted order.
     """
 
     def __init__(
@@ -77,7 +89,7 @@ class Solution:
             if len(disks) < self._m:
                 min_y = min((p.y for p in self._points), default=0.0)
                 disks += pad_disks(self._m - len(disks), min_y)
-            assignment = assign_points(self._points, disks)
+            assignment = assign_points(sorted(self._points), disks)
             if len(assignment) != self.value:
                 raise SolverInvariantError(
                     f"solution value {self.value} but its disks cover {len(assignment)}"
@@ -100,6 +112,11 @@ def pad_disks(count: int, min_y: float = -990.0) -> list[UnitDisk]:
 
 def _bucket(p: Point) -> tuple[int, int]:
     return (math.floor(p.x / 2.0), math.floor(p.y / 2.0))
+
+
+def _cell(p: Point) -> tuple[int, int]:
+    """The 1x1 bucket ``coverage_masks`` files a point or center under."""
+    return (math.floor(p.x), math.floor(p.y))
 
 
 def candidate_disks(points: list[Point] | set[Point]) -> list[UnitDisk]:
@@ -192,6 +209,146 @@ def coverage_masks(points: list[Point], disks: list[UnitDisk]) -> list[int]:
                         m |= 1 << i
         masks.append(m)
     return masks
+
+
+# A candidate center's source: a point's own disk, ``(0, p)``, or the
+# ``k``-th unit circle through a pair ``a < b`` at distance <= 2,
+# ``(1, a, b, k)``.  Sorting centers by their smallest source reproduces the
+# order :func:`candidate_disks` emits them in.
+Source = tuple
+
+
+class CandidateIndex:
+    """The candidate disks of a changing point set, kept up to date per point.
+
+    Every live point holds a stable bit slot; each candidate's mask has a
+    point's slot bit where :func:`coverage_masks` would have its sorted-index
+    bit, and the candidates come out in :func:`candidate_disks` order.  The
+    oracle reads masks only through equality, unions and popcounts, so a
+    solve over the index returns what one from scratch returns.
+
+    Points sit in 2x2 buckets (the pair search of ``candidate_disks``) and
+    centers in 1x1 buckets (the covering test of ``coverage_masks``); both
+    bucket conditions are kept exactly, so the two agree to the bit.
+    """
+
+    def __init__(self, points: Iterable[Point] = ()) -> None:
+        self._slot: dict[Point, int] = {}
+        self._free: list[int] = []  # min-heap of released slots
+        # 2x2 bucket -> (point, its slot bit, its 1x1 bucket) for each point.
+        self._point_buckets: dict[tuple[int, int], list[tuple]] = defaultdict(list)
+        self._center_buckets: dict[tuple[int, int], list[UnitDisk]] = defaultdict(list)
+        self._mask: dict[UnitDisk, int] = {}
+        self._sources: dict[UnitDisk, set[Source]] = {}
+        self._center_of: dict[Source, UnitDisk] = {}
+        self._order: list[Source] = []  # each center's smallest source, sorted
+        # A live view: the same object for as long as the index lives.
+        self.points = self._slot.keys()
+        for p in points:
+            self.add(p)
+
+    def __contains__(self, p: Point) -> bool:
+        return p in self._slot
+
+    def holds(self, points: Iterable[Point]) -> bool:
+        """Whether ``points`` (duplicates allowed) is exactly the indexed set."""
+        return points is self.points or self.points == set(points)
+
+    def candidates(self) -> tuple[list[UnitDisk], list[int]]:
+        """The candidate disks in ``candidate_disks`` order and their masks."""
+        disks = [self._center_of[key] for key in self._order]
+        return disks, [self._mask[d] for d in disks]
+
+    def add(self, p: Point) -> None:
+        if p in self._slot:
+            raise ValueError(f"point {p} is already indexed")
+        slot = heapq.heappop(self._free) if self._free else len(self._slot)
+        bit = 1 << slot
+        for d in self._centers_near(p):
+            if covers(d, p):
+                self._mask[d] |= bit
+        self._slot[p] = slot
+        self._point_buckets[_bucket(p)].append((p, bit, _cell(p)))
+        self._add_source((0, p), p)
+        for key, a, b in self._pairs_with(p):
+            for k, center in enumerate(_circles_through(a, b)):
+                self._add_source(key + (k,), center)
+
+    def remove(self, p: Point) -> None:
+        slot = self._slot.pop(p)
+        heapq.heappush(self._free, slot)
+        bit = 1 << slot
+        self._point_buckets[_bucket(p)].remove((p, bit, _cell(p)))
+        for d in self._centers_near(p):
+            self._mask[d] &= ~bit
+        self._drop_source((0, p))
+        for key, _, _ in self._pairs_with(p):
+            for k in (0, 1):
+                self._drop_source(key + (k,))
+
+    def _centers_near(self, p: Point) -> Iterator[UnitDisk]:
+        """Stored centers whose 1x1 bucket neighbours ``p``'s."""
+        cx, cy = _cell(p)
+        for bx in (cx - 1, cx, cx + 1):
+            for by in (cy - 1, cy, cy + 1):
+                yield from self._center_buckets.get((bx, by), ())
+
+    def _pairs_with(self, p: Point) -> Iterator[tuple[Source, Point, Point]]:
+        """``((1, a, b), a, b)`` for each live ``q`` that ``candidate_disks``
+        pairs with ``p``, with ``a < b`` the two points."""
+        bx, by = _bucket(p)
+        for nx in (bx - 1, bx, bx + 1):
+            for ny in (by - 1, by, by + 1):
+                for q, _, _ in self._point_buckets.get((nx, ny), ()):
+                    if q == p:
+                        continue
+                    a, b = (p, q) if p < q else (q, p)
+                    if (a.x - b.x) ** 2 + (a.y - b.y) ** 2 <= 4.0:
+                        yield (1, a, b), a, b
+
+    def _add_source(self, key: Source, center: Point) -> None:
+        d = UnitDisk(center)
+        sources = self._sources.get(d)
+        if sources is None:
+            self._sources[d] = {key}
+            self._mask[d] = self._mask_of(d)
+            self._center_buckets[_cell(center)].append(d)
+            bisect.insort(self._order, key)
+        else:
+            first = min(sources)
+            sources.add(key)
+            if key < first:
+                del self._order[bisect.bisect_left(self._order, first)]
+                bisect.insort(self._order, key)
+        self._center_of[key] = d
+
+    def _drop_source(self, key: Source) -> None:
+        d = self._center_of.pop(key)
+        sources = self._sources[d]
+        sources.remove(key)
+        if sources and key > min(sources):
+            return
+        del self._order[bisect.bisect_left(self._order, key)]
+        if sources:
+            bisect.insort(self._order, min(sources))
+            return
+        del self._sources[d], self._mask[d]
+        self._center_buckets[_cell(d.center)].remove(d)
+
+    def _mask_of(self, d: UnitDisk) -> int:
+        """The slot mask of the live points ``coverage_masks`` would give ``d``.
+
+        The 2x2 buckets around ``d``'s hold every 1x1 bucket around it.
+        """
+        cx, cy = _cell(d.center)
+        bx, by = _bucket(d.center)
+        mask = 0
+        for nx in (bx - 1, bx, bx + 1):
+            for ny in (by - 1, by, by + 1):
+                for q, bit, (qx, qy) in self._point_buckets.get((nx, ny), ()):
+                    if -1 <= qx - cx <= 1 and -1 <= qy - cy <= 1 and covers(d, q):
+                        mask |= bit
+        return mask
 
 
 def max_coverage_masks(
@@ -320,47 +477,56 @@ def _prefix_sums(values: list[int]) -> list[int]:
 
 
 def _greedy_masks(masks: list[int], m: int) -> tuple[int, list[int]]:
-    """Greedy max coverage: the union size and the chosen indices."""
+    """Greedy max coverage: the union size and the chosen indices.
+
+    Each round takes the largest marginal gain, lowest index on ties, among
+    the first occurrences of distinct masks.  Lazy evaluation (CELF): the heap
+    holds gains from earlier rounds, which can only have fallen since, so a
+    popped entry whose gain is still current is the round's pick.
+    """
+    first: dict[int, int] = {}
+    for i, mk in enumerate(masks):
+        first.setdefault(mk, i)
+    heap = [(-mk.bit_count(), i) for mk, i in first.items()]
+    heapq.heapify(heap)
     chosen: list[int] = []
     covered = 0
-    used: set[int] = set()
-    seen_mask: set[int] = set()
-    distinct = []
-    for i, mk in enumerate(masks):
-        if mk not in seen_mask:
-            seen_mask.add(mk)
-            distinct.append(i)
-    for _ in range(min(m, len(distinct))):
-        best_gain = -1
-        best_i = -1
-        for i in distinct:
-            if i in used:
-                continue
-            gain = (masks[i] & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_i = i
-        chosen.append(best_i)
-        used.add(best_i)
-        covered |= masks[best_i]
+    while heap and len(chosen) < m:
+        neg_gain, i = heap[0]
+        gain = (masks[i] & ~covered).bit_count()
+        if gain == -neg_gain:
+            heapq.heappop(heap)
+            chosen.append(i)
+            covered |= masks[i]
+        else:
+            heapq.heapreplace(heap, (-gain, i))
     return covered.bit_count(), chosen
 
 
 def solve(
-    points: list[Point] | set[Point],
+    points: Iterable[Point],
     m: int,
     kind: SolverKind = SolverKind.EXACT,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    index: CandidateIndex | None = None,
 ) -> Solution:
     """Best coverage of ``points`` by ``m`` unit disks under the given oracle.
 
     The value is computed here; the disks and assignment when first read.
+    Candidates and masks come from ``index`` when one is given, which must
+    hold exactly ``points``; otherwise they are built from scratch.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    pts = sorted(set(points))
-    cands = candidate_disks(pts)
-    masks = coverage_masks(pts, cands)
+    if index is None:
+        pts = sorted(set(points))
+        cands = candidate_disks(pts)
+        masks = coverage_masks(pts, cands)
+    else:
+        if not index.holds(points):
+            raise SolverInvariantError("the candidate index does not hold the given points")
+        pts = list(index.points)
+        cands, masks = index.candidates()
     if kind is SolverKind.EXACT:
         value, nodes = _best_value(masks, m, node_budget)
 

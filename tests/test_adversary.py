@@ -25,7 +25,7 @@ from stablecover.adversary import (
 from stablecover.adversary.streams import disk_churn
 from stablecover.geometry import Point
 from stablecover.harness_cli import RunConfig, run_lines, run_points
-from stablecover.static_solver import solve
+from stablecover.static_solver import DEFAULT_NODE_BUDGET, SolverBudgetError, solve
 
 
 def column(rows, index):
@@ -62,6 +62,25 @@ def test_exact_maintainer_churn_at_trigger():
         trig = stream.choose_trigger(before)
         mt.apply("insert", trig)
         assert disk_churn(before, mt.solution()) >= m
+
+
+@pytest.mark.parametrize("op", ["insert", "delete"])
+def test_exact_maintainer_event_out_of_budget_changes_nothing(op):
+    rng = random.Random(3)
+    points = {Point(rng.uniform(0, 4), rng.uniform(0, 4)) for _ in range(6)}
+    mt = ExactMaintainer(2)
+    for p in sorted(points):
+        mt.apply("insert", p)
+    disks = mt.solution()
+    p = Point(5.0, 5.0) if op == "insert" else min(points)
+    after = points | {p} if op == "insert" else points - {p}
+    mt.node_budget = 1
+    with pytest.raises(SolverBudgetError):
+        mt.apply(op, p)
+    assert set(mt.index.points) == points and mt.solution() == disks
+    mt.node_budget = DEFAULT_NODE_BUDGET
+    mt.apply(op, p)
+    assert mt.solution() == solve(after, 2).disks
 
 
 def test_canonical_optima_under_both_triggers_differ():

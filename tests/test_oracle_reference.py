@@ -3,8 +3,9 @@
 ``reference_max_coverage_masks`` is the recursive branch-and-bound that
 ``max_coverage_masks`` replaced, kept verbatim apart from its name: phase 1
 recursed once per distinct mask and phase 2 once per chosen index, both
-counting nodes against one budget.  ``reference_solve`` is the eager ``solve``
-built on it.
+counting nodes against one budget.  ``reference_greedy_masks`` is the eager
+greedy loop that the lazy ``_greedy_masks`` replaced, likewise verbatim.
+``reference_solve`` is the eager ``solve`` built on the two.
 """
 
 import random
@@ -108,6 +109,32 @@ def reference_max_coverage_masks(masks, m, node_budget=DEFAULT_NODE_BUDGET):
     return best, chosen
 
 
+def reference_greedy_masks(masks, m):
+    chosen: list[int] = []
+    covered = 0
+    used: set[int] = set()
+    seen_mask: set[int] = set()
+    distinct = []
+    for i, mk in enumerate(masks):
+        if mk not in seen_mask:
+            seen_mask.add(mk)
+            distinct.append(i)
+    for _ in range(min(m, len(distinct))):
+        best_gain = -1
+        best_i = -1
+        for i in distinct:
+            if i in used:
+                continue
+            gain = (masks[i] & ~covered).bit_count()
+            if gain > best_gain:
+                best_gain = gain
+                best_i = i
+        chosen.append(best_i)
+        used.add(best_i)
+        covered |= masks[best_i]
+    return covered.bit_count(), chosen
+
+
 def reference_solve(points, m, kind=SolverKind.EXACT, node_budget=DEFAULT_NODE_BUDGET):
     pts = sorted(set(points))
     cands = candidate_disks(pts)
@@ -115,7 +142,7 @@ def reference_solve(points, m, kind=SolverKind.EXACT, node_budget=DEFAULT_NODE_B
     if kind is SolverKind.EXACT:
         _, indices = reference_max_coverage_masks(masks, m, node_budget)
     else:
-        _, indices = _greedy_masks(masks, m)
+        _, indices = reference_greedy_masks(masks, m)
     disks = [cands[i] for i in indices]
     if len(disks) < m:
         disks += pad_disks(m - len(disks), min((p.y for p in pts), default=0.0))
@@ -187,6 +214,18 @@ def test_masks_match_reference_with_duplicates():
         masks = [rng.getrandbits(6) for _ in range(rng.randint(1, 14))]
         m = rng.randint(1, 5)
         assert max_coverage_masks(masks, m) == reference_max_coverage_masks(masks, m)
+
+
+def test_lazy_greedy_matches_reference():
+    # Few bits and long lists force duplicate masks, zero masks, tied gains
+    # and m above the number of distinct masks.
+    rng = random.Random(13)
+    for _ in range(3000):
+        bits = rng.randint(1, 9)
+        masks = [rng.getrandbits(bits) & rng.getrandbits(bits) for _ in range(rng.randint(0, 24))]
+        m = rng.randint(1, 12)
+        assert _greedy_masks(masks, m) == reference_greedy_masks(masks, m)
+    assert _greedy_masks([0, 0, 3, 3, 1], 5) == (2, [2, 0, 4]) == reference_greedy_masks([0, 0, 3, 3, 1], 5)
 
 
 def deep_masks():

@@ -3,21 +3,35 @@
 Each generated stream is replayed by ``stablecover run`` through one point
 engine; every report row must meet that engine's guarantee, and
 ``stablecover verify`` must accept the report.  Under a small search budget,
-an update that runs out of budget must leave the engine state as it was.
+an update that runs out of budget must leave the engine state, candidate
+index included, as it was.  The candidate index must agree with the
+from-scratch candidates and masks after every event.
 """
 
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablecover.baseline import update2
 from stablecover.geometry import Point
 from stablecover.harness_cli import POINT_ENGINES, format_point_event, main
 from stablecover.sas_engine import Branch, EngineConfig, EngineState, update, within_ratio
-from stablecover.static_solver import DEFAULT_NODE_BUDGET, SolverBudgetError
+from stablecover.static_solver import (
+    DEFAULT_NODE_BUDGET,
+    CandidateIndex,
+    SolverBudgetError,
+    SolverInvariantError,
+    SolverKind,
+    _best_value,
+    _greedy_masks,
+    candidate_disks,
+    coverage_masks,
+    solve,
+)
 
 
 @st.composite
@@ -75,6 +89,20 @@ def snapshot(state):
     return (state.t, set(state.points), list(state.disks), dict(state.assignment))
 
 
+def relabelled(index):
+    """The index's candidates, and its masks relabelled from slot bits to
+    sorted-point bits, the labels ``coverage_masks`` uses."""
+    disks, masks = index.candidates()
+    slots = [index._slot[p] for p in sorted(index.points)]
+    return disks, [sum(1 << i for i, s in enumerate(slots) if mk >> s & 1) for mk in masks]
+
+
+def assert_matches_scratch(index):
+    pts = sorted(index.points)
+    cands = candidate_disks(pts)
+    assert relabelled(index) == (cands, coverage_masks(pts, cands))
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(
     events=point_streams(),
@@ -90,7 +118,73 @@ def test_update_out_of_budget_leaves_state_untouched(events, m, budget, step):
             step(state, op, p)
         except SolverBudgetError:
             assert snapshot(state) == before
+            assert relabelled(state.index) == relabelled(CandidateIndex(state.points))
+            assert_matches_scratch(state.index)
             # The restored state takes the same event under the full budget.
             state.config.node_budget = DEFAULT_NODE_BUDGET
             step(state, op, p)
             state.config.node_budget = budget
+
+
+@st.composite
+def index_streams(draw):
+    """Insert/delete streams that end by deleting every point.
+
+    Half-unit lattice points give coincident circle centers, pair circles
+    centered on live points and pairs exactly 2 apart; free floats give the
+    generic case.
+    """
+    lattice = st.builds(lambda i, j: Point(i / 2, j / 2), st.integers(0, 4), st.integers(0, 4))
+    free = st.builds(Point, st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+    coord = st.one_of(lattice, lattice, free)
+    live: list[Point] = []
+    events = []
+    for _ in range(draw(st.integers(1, 30))):
+        if live and draw(st.booleans()):
+            events.append(("delete", live.pop(draw(st.integers(0, len(live) - 1)))))
+            continue
+        p = draw(coord)
+        if p not in live:
+            live.append(p)
+            events.append(("insert", p))
+    events.extend(("delete", p) for p in reversed(live))
+    return events
+
+
+# (1, 1) is the own disk of a live point and the circle center of the pairs
+# (0, 1)-(2, 1) and (1, 0)-(1, 2), each exactly 2 apart; it outlives each of
+# its sources but the last.
+SHARED = [Point(0.0, 1.0), Point(2.0, 1.0), Point(1.0, 1.0), Point(1.0, 0.0), Point(1.0, 2.0)]
+SHARED_CENTER = [("insert", p) for p in SHARED] + [("delete", SHARED[i]) for i in (2, 0, 1, 4, 3)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(events=index_streams(), m=st.integers(1, 4))
+@example(events=SHARED_CENTER, m=2)
+def test_candidate_index_matches_scratch(events, m):
+    index = CandidateIndex()
+    for op, p in events:
+        if op == "insert":
+            index.add(p)
+        else:
+            index.remove(p)
+        assert_matches_scratch(index)
+        _, masks = index.candidates()
+        pts = sorted(index.points)
+        scratch = coverage_masks(pts, candidate_disks(pts))
+        assert _best_value(masks, m, DEFAULT_NODE_BUDGET) == _best_value(
+            scratch, m, DEFAULT_NODE_BUDGET
+        )
+        assert _greedy_masks(masks, m) == _greedy_masks(scratch, m)
+    assert not index.points and index.candidates() == ([], [])
+
+
+def test_solve_rejects_an_index_of_other_points():
+    points = {Point(0.0, 0.0), Point(1.0, 0.5)}
+    index = CandidateIndex(points)
+    for kind in SolverKind:
+        assert solve(set(points), 2, kind, index=index).value == 2
+        with pytest.raises(SolverInvariantError):
+            solve(points | {Point(3.0, 3.0)}, 2, kind, index=index)
+        with pytest.raises(SolverInvariantError):
+            solve([Point(0.0, 0.0)], 2, kind, index=index)
