@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 # disk_churn is re-exported: callers and the benchmark's spans find it here.
 from ..geometry import Point, UnitDisk, disk_churn  # noqa: F401
 from ..static_solver import (
-    DEFAULT_NODE_BUDGET,
     CandidateIndex,
     SolverKind,
     _greedy_masks,
@@ -55,15 +54,9 @@ class ExactMaintainer:
     node budget), the point set and the disks stay as they were.
     """
 
-    def __init__(
-        self,
-        m: int,
-        kind: SolverKind = SolverKind.EXACT,
-        node_budget: int = DEFAULT_NODE_BUDGET,
-    ):
+    def __init__(self, m: int, kind: SolverKind = SolverKind.EXACT):
         self.m = m
         self.kind = kind
-        self.node_budget = node_budget
         self.index = CandidateIndex()
         self.disks = pad_disks(m)
 
@@ -72,7 +65,7 @@ class ExactMaintainer:
         do, undo = (index.add, index.remove) if op == "insert" else (index.remove, index.add)
         do(p)
         try:
-            sol = solve(index.points, self.m, self.kind, self.node_budget, index=index)
+            sol = solve(index.points, self.m, self.kind, index=index)
             self.disks = sol.disks
         except BaseException:
             undo(p)

@@ -197,10 +197,10 @@ def coverage_masks(points: list[Point], disks: list[UnitDisk]) -> list[int]:
     """Bitmask over ``points`` of what each disk covers."""
     buckets: dict[tuple[int, int], list[int]] = defaultdict(list)
     for i, p in enumerate(points):
-        buckets[(math.floor(p.x), math.floor(p.y))].append(i)
+        buckets[_cell(p)].append(i)
     masks = []
     for d in disks:
-        cx, cy = math.floor(d.center.x), math.floor(d.center.y)
+        cx, cy = _cell(d.center)
         m = 0
         for bx in range(cx - 1, cx + 2):
             for by in range(cy - 1, cy + 2):
@@ -241,7 +241,7 @@ class CandidateIndex:
         self._mask: dict[UnitDisk, int] = {}
         self._sources: dict[UnitDisk, set[Source]] = {}
         self._center_of: dict[Source, UnitDisk] = {}
-        self._order: list[Source] = []  # each center's smallest source, sorted
+        self._order: list[Source] = []  # every live source, sorted
         # A live view: the same object for as long as the index lives.
         self.points = self._slot.keys()
         for p in points:
@@ -256,7 +256,8 @@ class CandidateIndex:
 
     def candidates(self) -> tuple[list[UnitDisk], list[int]]:
         """The candidate disks in ``candidate_disks`` order and their masks."""
-        disks = [self._center_of[key] for key in self._order]
+        # A center first shows up at its smallest source.
+        disks = list(dict.fromkeys(map(self._center_of.__getitem__, self._order)))
         return disks, [self._mask[d] for d in disks]
 
     def add(self, p: Point) -> None:
@@ -278,7 +279,7 @@ class CandidateIndex:
         slot = self._slot.pop(p)
         heapq.heappush(self._free, slot)
         bit = 1 << slot
-        self._point_buckets[_bucket(p)].remove((p, bit, _cell(p)))
+        _discard(self._point_buckets, _bucket(p), (p, bit, _cell(p)))
         for d in self._centers_near(p):
             self._mask[d] &= ~bit
         self._drop_source((0, p))
@@ -313,27 +314,19 @@ class CandidateIndex:
             self._sources[d] = {key}
             self._mask[d] = self._mask_of(d)
             self._center_buckets[_cell(center)].append(d)
-            bisect.insort(self._order, key)
         else:
-            first = min(sources)
             sources.add(key)
-            if key < first:
-                del self._order[bisect.bisect_left(self._order, first)]
-                bisect.insort(self._order, key)
         self._center_of[key] = d
+        bisect.insort(self._order, key)
 
     def _drop_source(self, key: Source) -> None:
         d = self._center_of.pop(key)
+        del self._order[bisect.bisect_left(self._order, key)]
         sources = self._sources[d]
         sources.remove(key)
-        if sources and key > min(sources):
-            return
-        del self._order[bisect.bisect_left(self._order, key)]
-        if sources:
-            bisect.insort(self._order, min(sources))
-            return
-        del self._sources[d], self._mask[d]
-        self._center_buckets[_cell(d.center)].remove(d)
+        if not sources:
+            del self._sources[d], self._mask[d]
+            _discard(self._center_buckets, _cell(d.center), d)
 
     def _mask_of(self, d: UnitDisk) -> int:
         """The slot mask of the live points ``coverage_masks`` would give ``d``.
@@ -349,6 +342,14 @@ class CandidateIndex:
                     if -1 <= qx - cx <= 1 and -1 <= qy - cy <= 1 and covers(d, q):
                         mask |= bit
         return mask
+
+
+def _discard(buckets: dict[tuple[int, int], list], cell: tuple[int, int], item) -> None:
+    """Take ``item`` out of ``buckets[cell]``, and the bucket once it is empty."""
+    bucket = buckets[cell]
+    bucket.remove(item)
+    if not bucket:
+        del buckets[cell]
 
 
 def max_coverage_masks(

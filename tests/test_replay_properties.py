@@ -177,6 +177,9 @@ def test_candidate_index_matches_scratch(events, m):
         )
         assert _greedy_masks(masks, m) == _greedy_masks(scratch, m)
     assert not index.points and index.candidates() == ([], [])
+    # Emptied buckets go too, so the index does not grow with the cells a
+    # wandering stream has visited.
+    assert not index._point_buckets and not index._center_buckets
 
 
 def test_solve_rejects_an_index_of_other_points():
