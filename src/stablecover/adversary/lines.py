@@ -77,13 +77,6 @@ class SparseLineRep:
     def line_list(self) -> list[RationalLine]:
         return [self.lines[e] for e in sorted(self.lines)]
 
-    def restrict(self, edges: Iterable[tuple[int, int]]) -> "SparseLineRep":
-        sub = {e: self.lines[_norm(e)] for e in map(_norm, edges)}
-        verts = {v for e in sub for v in e}
-        return SparseLineRep(
-            positions={v: self.positions[v] for v in verts}, lines=sub
-        )
-
 
 def _norm(e: tuple[int, int]) -> tuple[int, int]:
     u, w = e

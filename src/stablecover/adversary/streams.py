@@ -9,9 +9,9 @@ which recount every figure rather than read it from the algorithm.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
 
 # disk_churn is re-exported: callers and the benchmark's spans find it here.
 from ..geometry import Point, UnitDisk, disk_churn  # noqa: F401
@@ -30,7 +30,6 @@ from .lines import (
     RationalPoint,
     SparseLineRep,
     _key,
-    _key_of,
     _meets,
     _norm,
     _point_of,
@@ -110,19 +109,14 @@ class LineInstance:
     def r_points(self) -> set[RationalPoint]:
         return {self.rep.positions[v] for v in self.expander.right}
 
-    def side_rep(self, side: str) -> SparseLineRep:
-        edges = [e for tri in self.base_triples for e in tri]
-        edges += [e for tri in self.z_triples[side] for e in tri]
-        return self.rep.restrict(edges)
-
     def schedule_lines(self, triples: Sequence[list[tuple[int, int]]]) -> list[list[RationalLine]]:
         return [[self.rep.lines[e] for e in tri] for tri in triples]
 
 
 def build_line_instance(m: int, seed: int) -> LineInstance:
     """Expander on m+m vertices, both extensions, one verified sparse drawing."""
-    if m % 3 != 0:
-        raise ValueError("m must be divisible by 3")
+    if m < 6 or m % 3 != 0:
+        raise ValueError(f"m must be a multiple of 3 and at least 6, got m={m}")
     expander = random_expander(m, seed)
     ext_l = build_GmL(expander)
     ext_r = build_GmR(expander, z_start=2 * m + m // 3)
@@ -190,19 +184,43 @@ def _candidate_table(lines: Sequence[RationalLine]) -> dict[PointKey, int]:
     return table
 
 
-def hitting_candidates(lines: Sequence[RationalLine]) -> list[RationalPoint]:
+class HittingCandidates(Sequence):
+    """The candidate points of one candidate table, in its key order.
+
+    A read-only sequence: an item becomes a rational point only when it is
+    read, so a solve that reads its m chosen indices converts at most m keys.
+    ``masks`` holds the table's line masks in the same order.
+    """
+
+    __slots__ = ("_keys", "masks")
+
+    def __init__(self, table: dict[PointKey, int]):
+        self._keys = list(table)
+        self.masks = list(table.values())
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [_point_of(key) for key in self._keys[i]]
+        return _point_of(self._keys[i])
+
+    def __iter__(self):
+        return map(_point_of, self._keys)
+
+
+def hitting_candidates(lines: Sequence[RationalLine]) -> HittingCandidates:
     """Pairwise intersections plus one canonical point per line, deduplicated,
-    in first-seen order."""
-    return [_point_of(key) for key in _candidate_table(lines)]
+    in first-seen order, read from one candidate table."""
+    return HittingCandidates(_candidate_table(lines))
 
 
-def _hitting_masks(
-    lines: Sequence[RationalLine], cands: Sequence[RationalPoint]
-) -> list[int]:
-    """Bitmask of the lines through each candidate, looked up by its key;
-    ``cands`` must come from :func:`hitting_candidates` over ``lines``."""
-    table = _candidate_table(lines)
-    return [table[_key_of(p)] for p in cands]
+def _hitting_masks(lines: Sequence[RationalLine], cands: HittingCandidates) -> list[int]:
+    """Bitmask of the lines through each candidate, read from the table that
+    ``cands`` was built from; ``cands`` must come from
+    :func:`hitting_candidates` over ``lines``."""
+    return cands.masks
 
 
 def _far_point(index: int, lines: Sequence[RationalLine]) -> RationalPoint:
@@ -220,6 +238,8 @@ def solve_hitting(
 
     The exact oracle returns the optimum with the canonical candidate choice;
     the greedy one takes the best marginal gain, lowest candidate on ties.
+    One call builds one candidate table, reads the masks from it, and makes
+    rational points only for the chosen candidates (at most m).
     """
     if not lines:
         return 0, [_far_point(i, lines) for i in range(m)]

@@ -112,6 +112,12 @@ def format_line_event(line: RationalLine) -> str:
 
 
 def gen_random(n: int, bbox: float, seed: int, delete_prob: float = 0.0) -> list[str]:
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
+    if not (math.isfinite(bbox) and bbox > 0):
+        raise ValueError(f"bbox must be finite and above 0, got {bbox}")
+    if not 0 <= delete_prob <= 1:
+        raise ValueError(f"delete_prob must be between 0 and 1, got {delete_prob}")
     rng = random.Random(seed)
     rows: list[str] = []
     present: list[Point] = []

@@ -10,6 +10,7 @@ import random
 import time
 
 import pytest
+from test_adversary import side_rep
 
 from stablecover.adversary import (
     ExactMaintainer,
@@ -296,7 +297,7 @@ def test_criterion_9_line_construction_values():
     t0 = time.time()
     for m in (6, 9):
         inst = build_line_instance(m, seed=1)
-        rep = inst.side_rep("L")
+        rep = side_rep(inst, "L")
         lines = rep.line_list()
         assert len(lines) == 4 * m
         census = concurrency_census(lines)

@@ -23,10 +23,20 @@ from stablecover.adversary import (
     streams,
     trigger_options,
 )
+from stablecover.adversary.lines import RationalLine, SparseLineRep
 from stablecover.adversary.streams import disk_churn
 from stablecover.geometry import Point
-from stablecover.harness_cli import RunConfig, run_lines, run_points
-from stablecover.static_solver import SolverBudgetError, solve
+from stablecover.harness_cli import RunConfig, gen_lines, parse_stream, run_lines, run_points
+from stablecover.static_solver import SolverBudgetError, SolverKind, solve
+
+
+def side_rep(inst, side):
+    """The instance's drawing cut to the base edges and one side's extension."""
+    edges = {e for tri in inst.base_triples + inst.z_triples[side] for e in tri}
+    return SparseLineRep(
+        positions={v: inst.rep.positions[v] for e in edges for v in e},
+        lines={e: inst.rep.lines[e] for e in sorted(edges)},
+    )
 
 
 def column(rows, index):
@@ -211,7 +221,7 @@ def test_k4_rep_triples_only_at_vertices():
 
 def test_non_vertex_intersections_on_two_lines():
     inst = build_line_instance(6, seed=1)
-    rep = inst.side_rep("L")
+    rep = side_rep(inst, "L")
     vertex_pts = set(rep.positions.values())
     for pt, through in concurrency_census(rep.line_list()).items():
         if pt not in vertex_pts:
@@ -220,7 +230,7 @@ def test_non_vertex_intersections_on_two_lines():
 
 def test_gml_rep_counts():
     inst = build_line_instance(6, seed=1)
-    rep = inst.side_rep("L")
+    rep = side_rep(inst, "L")
     lines = rep.line_list()
     assert len(lines) == 24
     assert max(len(v) for v in concurrency_census(lines).values()) == 4
@@ -228,7 +238,7 @@ def test_gml_rep_counts():
 
 def test_evaluate_hitting_examples():
     inst = build_line_instance(6, seed=1)
-    rep = inst.side_rep("L")
+    rep = side_rep(inst, "L")
     lines = rep.line_list()
     assert evaluate_hitting(inst.r_points, lines) == 24
     assert evaluate_hitting([], lines) == 0
@@ -271,9 +281,34 @@ def test_probe_size_validation():
 
 def test_final_opt_is_4m():
     inst = build_line_instance(6, seed=1)
-    lines = inst.side_rep("L").line_list()
+    lines = side_rep(inst, "L").line_list()
     value, _ = solve_hitting(lines, 6)
     assert value == 24
+
+
+@pytest.mark.parametrize("kind", [SolverKind.EXACT, SolverKind.GREEDY])
+def test_solve_hitting_builds_one_table_and_converts_only_chosen_points(kind, monkeypatch):
+    builds, conversions = [], []
+
+    def counted(fn, log):
+        def wrapper(*args):
+            log.append(args)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(streams, "_meets", counted(streams._meets, builds))
+    monkeypatch.setattr(streams, "_point_of", counted(streams._point_of, conversions))
+    stream = parse_stream("\n".join(gen_lines(9, seed=1)) + "\n")
+    arrived = [ln for triple in stream.line_steps for ln in triple]
+    cross = [RationalLine(1, 0, 0), RationalLine(0, 1, 0)]  # one candidate, the origin
+    for lines, m in [([], 3), (cross, 4), (arrived[:3], 9), (arrived, 9), (arrived, 2)]:
+        builds.clear()
+        conversions.clear()
+        _, pts = solve_hitting(lines, m, kind)
+        assert len(pts) == m
+        assert len(builds) == (1 if lines else 0)
+        assert len(conversions) <= m
+    assert len(streams.hitting_candidates(arrived)) > 9  # many more candidates than m
 
 
 def test_greedy_hitting_trace():

@@ -165,6 +165,12 @@ LINE_TRIPLE = "line 1 0 0\nline 0 1 0\nline 1 1 -1\n"
         (["run", "--stream", "STREAM", "--scaled", "foo=1"], "insert 1.0 1.0\n"),
         (["run", "--stream", "STREAM", "--epsilon", "0.7"], "insert 1.0 1.0\n"),
         (["gen", "lines", "--m", "4"], None),
+        (["gen", "random", "--bbox", "nan"], None),
+        (["gen", "random", "--bbox", "inf"], None),
+        (["gen", "random", "--bbox", "0"], None),
+        (["gen", "random", "--n", "-1"], None),
+        (["gen", "random", "--delete-prob", "1.5"], None),
+        (["gen", "random", "--delete-prob", "-0.1"], None),
         (["run", "--stream", "STREAM", "--scaled", "node_budget=1"],
          "insert 1.0 1.0\ninsert 1.2 1.0\n"),
         (["run", "--stream", "STREAM", "--engine", "exact_maintainer", "--m", "2",
@@ -175,7 +181,9 @@ LINE_TRIPLE = "line 1 0 0\nline 0 1 0\nline 1 1 -1\n"
          LINE_TRIPLE),
     ],
     ids=["nan", "inf", "missing-stream", "scaled-not-a-number", "scaled-unknown-key",
-         "epsilon-out-of-range", "lines-m-not-divisible-by-3", "solver-budget",
+         "epsilon-out-of-range", "lines-m-not-divisible-by-3",
+         "bbox-nan", "bbox-inf", "bbox-zero", "n-negative", "delete-prob-above-1",
+         "delete-prob-negative", "solver-budget",
          "exact-maintainer-bad-options", "greedy-hitting-epsilon", "exact-hitting-epsilon"],
 )
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, stream_text):
@@ -186,3 +194,15 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, strea
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("m", ["3", "10"])
+def test_gen_lines_error_names_m(capsys, m):
+    assert main(["gen", "lines", "--m", m]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"m={m}" in err[0]
+
+
+@pytest.mark.parametrize("argv", [["--n", "0"], ["--delete-prob", "0"], ["--delete-prob", "1"]])
+def test_gen_random_accepts_boundary_options(tmp_path, argv):
+    assert main(["gen", "random", *argv, "--out", str(tmp_path / "s.txt")]) == 0

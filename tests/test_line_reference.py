@@ -206,7 +206,7 @@ def test_contains_matches_reference():
 def test_candidates_and_masks_match_reference():
     for _, lines, ref_cands, ref_masks in reference_cases():
         cands = streams.hitting_candidates(lines)
-        assert cands == ref_cands
+        assert list(cands) == ref_cands
         assert streams._hitting_masks(lines, cands) == ref_masks
 
 
@@ -229,9 +229,19 @@ def test_solve_hitting_matches_reference(kind, monkeypatch):
     runs = [(m, lines) for ms, lines, _, _ in reference_cases() for m in ms]
     got = [streams.solve_hitting(lines, m, kind) for m, lines in runs]
     tables = {tuple(lines): (cands, masks) for _, lines, cands, masks in reference_cases()}
-    monkeypatch.setattr(streams, "hitting_candidates", lambda lines: tables[tuple(lines)][0])
-    monkeypatch.setattr(streams, "_hitting_masks", lambda lines, _: tables[tuple(lines)][1])
+    calls = {"hitting_candidates": 0, "_hitting_masks": 0}
+
+    def reference_seam(name, part):
+        def seam(lines, *_):
+            calls[name] += 1
+            return tables[tuple(lines)][part]
+        return seam
+
+    monkeypatch.setattr(streams, "hitting_candidates", reference_seam("hitting_candidates", 0))
+    monkeypatch.setattr(streams, "_hitting_masks", reference_seam("_hitting_masks", 1))
     assert got == [streams.solve_hitting(lines, m, kind) for m, lines in runs]
+    # A solve that bypassed either seam would not have read the reference.
+    assert calls == {"hitting_candidates": len(runs), "_hitting_masks": len(runs)}
 
 
 def test_verify_sparse_matches_reference_on_gen_lines_retries(monkeypatch):
