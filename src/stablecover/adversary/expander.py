@@ -44,17 +44,8 @@ class BipartiteExpander:
             out |= self.adjacency[v]
         return out
 
-    def is_bipartite_lr(self) -> bool:
-        return all(
-            (u < self.n) != (w < self.n) for u, w in self.edges
-        )
-
     def degrees(self) -> list[int]:
         return [len(self.adjacency[v]) for v in range(2 * self.n)]
-
-    def edge_list_text(self) -> str:
-        lines = [f"{u} {w}" for u, w in sorted(self.edges)]
-        return "\n".join(lines) + "\n"
 
 
 def random_regular_edges(n: int, d: int, rng: random.Random) -> set[tuple[int, int]]:
@@ -170,10 +161,6 @@ class ExtendedGraph:
     side: str  # "L": attach to R; "R": attach to L
     z_edges: list[tuple[int, int]]
     z_start: int
-
-    @property
-    def z_vertices(self) -> range:
-        return range(self.z_start, self.z_start + self.base.n // 3)
 
     def all_edges(self) -> list[tuple[int, int]]:
         return sorted(self.base.edges) + self.z_edges

@@ -28,7 +28,8 @@ PointKey = tuple[int, int, int]
 
 
 class SparseLineRepError(Exception):
-    """Could not place the vertices sparsely within the retry budget."""
+    """No sparse placement within the retry budget, or the full check
+    rejected the drawing the retries accepted."""
 
 
 @dataclass(frozen=True, order=True)
@@ -73,9 +74,6 @@ class SparseLineRep:
 
     positions: dict[int, RationalPoint]
     lines: dict[tuple[int, int], RationalLine]
-
-    def line_list(self) -> list[RationalLine]:
-        return [self.lines[e] for e in sorted(self.lines)]
 
 
 def _norm(e: tuple[int, int]) -> tuple[int, int]:
@@ -134,6 +132,14 @@ def _indices(mask: int) -> list[int]:
     return out
 
 
+def _first_pair(mask: int) -> tuple[int, int]:
+    """The two lowest bits of a mask: for distinct lines through one point,
+    the first ``(i, j)`` pair at which ``_meets`` lists that point."""
+    low = mask & -mask
+    rest = mask ^ low
+    return low, rest & -rest
+
+
 def concurrency_census(lines: Sequence[RationalLine]) -> dict[RationalPoint, set[int]]:
     """Map of every pairwise intersection point to the lines through it."""
     return {_point_of(key): set(_indices(mask)) for key, mask in _meets(lines).items()}
@@ -179,36 +185,141 @@ def verify_sparse(
     return None
 
 
+class _Drawing:
+    """A drawing under repair, keeping ``verify_sparse``'s verdict current as
+    single vertices move.
+
+    ``lines[i]`` is the line of ``edges[i]`` and ``meets`` holds the same
+    masks as ``_meets(lines)``; ``crowded`` is its keys with three or more
+    lines, and ``keys`` and ``owner`` map vertices to their keys and back.
+    Moving a vertex recomputes only its edges' lines, their meets with every
+    other line, and its key.
+    """
+
+    def __init__(self, positions: dict[int, RationalPoint], edges: list[tuple[int, int]]):
+        self.positions = positions
+        self.edges = edges
+        self.lines = [RationalLine.through(positions[u], positions[w]) for u, w in edges]
+        self.incident = dict.fromkeys(positions, 0)  # bitmask of each vertex's edges
+        for i, (u, w) in enumerate(edges):
+            self.incident[u] |= 1 << i
+            self.incident[w] |= 1 << i
+        self.keys = {v: _key_of(p) for v, p in positions.items()}
+        self.owner = {key: v for v, key in self.keys.items()}
+        self.meets = _meets(self.lines)
+        self.crowded = {key for key, mask in self.meets.items() if mask.bit_count() >= 3}
+
+    def verdict(self) -> int | None:
+        """``verify_sparse(positions, lines)``, read from the kept state."""
+        seen = set()
+        for e, ln in zip(self.edges, self.lines):
+            if ln in seen:
+                return max(e)
+            seen.add(ln)
+        # Lines are distinct now.  A vertex's own lines pass through it, so
+        # any other line through it meets them there, in the mask at its key.
+        for v, pos in self.positions.items():
+            own = self.incident[v]
+            if own:
+                if self.meets.get(self.keys[v], 0) & ~own:
+                    return v
+            elif any(ln.contains(pos) for ln in self.lines):
+                return v
+        bad = [
+            key for key in self.crowded
+            if key not in self.owner or self.meets[key].bit_count() > 4
+        ]
+        if not bad:
+            return None
+        key = min(bad, key=lambda k: _first_pair(self.meets[k]))
+        if key in self.owner:
+            return self.owner[key]
+        return max(v for i in _indices(self.meets[key]) for v in self.edges[i])
+
+    def move(self, v: int, pos: RationalPoint) -> None:
+        """Put ``v`` at ``pos`` and redraw its edges' lines."""
+        moved = _indices(self.incident[v])
+        for n, i in enumerate(moved):
+            for _, key in self._meets_of(i, skip=moved[: n + 1]):
+                self._drop(key, 1 << i)
+        del self.owner[self.keys[v]]
+        self.positions[v] = pos
+        self.keys[v] = _key_of(pos)
+        self.owner[self.keys[v]] = v
+        for i in moved:
+            u, w = self.edges[i]
+            self.lines[i] = RationalLine.through(self.positions[u], self.positions[w])
+        for n, i in enumerate(moved):
+            for j, key in self._meets_of(i, skip=moved[n:]):
+                mask = self.meets.get(key, 0) | (1 << i) | (1 << j)
+                self.meets[key] = mask
+                if mask.bit_count() >= 3:
+                    self.crowded.add(key)
+
+    def _meets_of(self, i: int, skip: list[int]):
+        """``(j, key)`` for every line ``j`` outside ``skip`` meeting line ``i``."""
+        a1, b1, c1 = self.lines[i].a, self.lines[i].b, self.lines[i].c
+        for j, ln in enumerate(self.lines):
+            a2, b2, c2 = ln.a, ln.b, ln.c
+            w = a1 * b2 - a2 * b1
+            if w != 0 and j not in skip:
+                yield j, _key(b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, w)
+
+    def _drop(self, key: PointKey, bit: int) -> None:
+        """Take one line off a meet; the meet goes unless two distinct lines
+        stay on it (two copies of one line meet nowhere)."""
+        mask = self.meets.get(key, 0)
+        if not mask & bit:
+            return  # already dropped through another line of this meet
+        rest = mask ^ bit
+        if rest & (rest - 1) and len({self.lines[k] for k in _indices(rest)}) >= 2:
+            self.meets[key] = rest
+            if rest.bit_count() < 3:
+                self.crowded.discard(key)
+        else:
+            del self.meets[key]
+            self.crowded.discard(key)
+
+
+def _place(
+    vertices: list[int], edges: list[tuple[int, int]]
+) -> tuple[dict[int, RationalPoint], dict[tuple[int, int], RationalLine]]:
+    """The retry loop of ``sparse_line_rep``, one move per retry.  The drawing
+    state goes when it returns, before the full check builds its own table."""
+    rank = {v: i + 1 for i, v in enumerate(vertices)}
+    drawing = _Drawing({v: (Fraction(rank[v]), Fraction(rank[v] ** 3)) for v in vertices}, edges)
+    bumps: dict[int, int] = {}
+    retries = 0
+    while (culprit := drawing.verdict()) is not None:
+        if retries == len(vertices):
+            raise SparseLineRepError(f"no sparse placement within {retries} retries")
+        retries += 1
+        bumps[culprit] = bumps.get(culprit, 0) + 1
+        r = rank[culprit]
+        drawing.move(culprit, (Fraction(r), Fraction(r**3) + Fraction(bumps[culprit], 97)))
+    return drawing.positions, dict(zip(edges, drawing.lines))
+
+
 def sparse_line_rep(
     vertices: Sequence[int],
     edges: Iterable[tuple[int, int]],
-    max_retries: int = 60,
 ) -> SparseLineRep:
     """Place vertices on the curve (r, r^3) and verify sparsity exactly.
 
     Positive ranks keep any three vertex points off a common line.  When some
-    chords still meet badly, the offending vertex is nudged vertically by a
-    small rational and verification reruns.
+    chords still meet badly, the vertex ``verify_sparse`` would name is nudged
+    vertically by a small rational and only its lines are re-checked, within
+    a budget of one retry per vertex.  The accepted drawing then gets one
+    full ``verify_sparse``.
     """
-    vertices = sorted(vertices)
     edge_list = sorted(_norm(e) for e in edges)
-    rank = {v: i + 1 for i, v in enumerate(vertices)}
-    positions: dict[int, RationalPoint] = {
-        v: (Fraction(rank[v]), Fraction(rank[v] ** 3)) for v in vertices
-    }
-    bumps: dict[int, int] = {}
-    for _ in range(max_retries):
-        lines = {e: RationalLine.through(positions[e[0]], positions[e[1]]) for e in edge_list}
-        culprit = verify_sparse(positions, lines)
-        if culprit is None:
-            return SparseLineRep(positions=positions, lines=lines)
-        bumps[culprit] = bumps.get(culprit, 0) + 1
-        r = rank[culprit]
-        positions[culprit] = (
-            Fraction(r),
-            Fraction(r**3) + Fraction(bumps[culprit], 97),
+    positions, lines = _place(sorted(vertices), edge_list)
+    culprit = verify_sparse(positions, lines)
+    if culprit is not None:
+        raise SparseLineRepError(
+            f"full check rejects vertex {culprit} of the drawing the retries accepted"
         )
-    raise SparseLineRepError(f"no sparse placement within {max_retries} retries")
+    return SparseLineRep(positions=positions, lines=lines)
 
 
 def evaluate_hitting(

@@ -10,7 +10,7 @@ import random
 import time
 
 import pytest
-from test_adversary import side_rep
+from test_adversary import is_bipartite_lr, line_list, side_rep
 
 from stablecover.adversary import (
     ExactMaintainer,
@@ -298,7 +298,7 @@ def test_criterion_9_line_construction_values():
     for m in (6, 9):
         inst = build_line_instance(m, seed=1)
         rep = side_rep(inst, "L")
-        lines = rep.line_list()
+        lines = line_list(rep)
         assert len(lines) == 4 * m
         census = concurrency_census(lines)
         assert max(len(v) for v in census.values()) == 4
@@ -311,7 +311,7 @@ def test_criterion_9_line_construction_values():
 def test_criterion_10_expander_structure():
     for n in (4, 30, 60):
         g = random_expander(n, seed=1)
-        assert g.is_bipartite_lr()
+        assert is_bipartite_lr(g)
         assert set(g.degrees()) == {3}
         assert sampled_expansion_check(g, 0.1, 1000, seed=99)
     tri_edges = set()

@@ -23,11 +23,36 @@ from stablecover.adversary import (
     streams,
     trigger_options,
 )
-from stablecover.adversary.lines import RationalLine, SparseLineRep
+from stablecover.adversary.lines import (
+    RationalLine,
+    SparseLineRep,
+    SparseLineRepError,
+    verify_sparse,
+)
 from stablecover.adversary.streams import disk_churn
 from stablecover.geometry import Point
 from stablecover.harness_cli import RunConfig, gen_lines, parse_stream, run_lines, run_points
 from stablecover.static_solver import SolverBudgetError, SolverKind, solve
+
+
+def line_list(rep):
+    """A drawing's lines in edge order."""
+    return [rep.lines[e] for e in sorted(rep.lines)]
+
+
+def is_bipartite_lr(g):
+    """Every edge joins L = {0..n-1} to R = {n..2n-1}."""
+    return all((u < g.n) != (w < g.n) for u, w in g.edges)
+
+
+def edge_list_text(g):
+    """One ``u w`` row per edge, sorted."""
+    return "".join(f"{u} {w}\n" for u, w in sorted(g.edges))
+
+
+def z_vertices(ext):
+    """The n/3 attachment vertices of an extended graph."""
+    return range(ext.z_start, ext.z_start + ext.base.n // 3)
 
 
 def side_rep(inst, side):
@@ -124,7 +149,7 @@ def test_replay_noop_churn_is_zero():
 def test_k4_double_cover():
     k4 = {(i, j) for i in range(4) for j in range(i + 1, 4)}
     g = double_cover(k4, 4)
-    assert g.is_bipartite_lr()
+    assert is_bipartite_lr(g)
     assert len(g.adjacency) == 8
     assert set(g.degrees()) == {3}
     assert len(g.edges) == 12  # 3n edges
@@ -133,7 +158,7 @@ def test_k4_double_cover():
 def test_random_expander_structure():
     g = random_expander(50, seed=1)
     assert set(g.degrees()) == {3}
-    assert g.is_bipartite_lr()
+    assert is_bipartite_lr(g)
     assert sampled_expansion_check(g, 0.1, 1000, seed=3)
 
 
@@ -166,12 +191,12 @@ def test_negative_control_fails_sampled_check():
 def test_build_gml_structure():
     g = random_expander(6, seed=2)
     ext = build_GmL(g)
-    assert len(ext.z_vertices) == 2
+    assert len(z_vertices(ext)) == 2
     endpoints = [w for _, w in ext.z_edges]
     assert len(set(endpoints)) == 6  # all distinct R vertices
     deg = ext.degrees()
     assert all(deg[v] == 3 for v in g.left)
-    assert all(deg[z] == 3 for z in ext.z_vertices)
+    assert all(deg[z] == 3 for z in z_vertices(ext))
     assert all(deg[v] == 4 for v in g.right)
 
 
@@ -183,7 +208,7 @@ def test_gml_side_expansion_sampled():
         adj[u].add(w)
         adj[w].add(u)
     rng = random.Random(11)
-    pool = list(g.left) + list(ext.z_vertices)
+    pool = list(g.left) + list(z_vertices(ext))
     for _ in range(500):
         size = rng.randint(1, 3)  # alpha * n = 3
         s = rng.sample(pool, size)
@@ -199,7 +224,7 @@ def test_gml_side_expansion_sampled():
 
 def test_path_rep():
     rep = sparse_line_rep([0, 1, 2], [(0, 1), (1, 2)])
-    lines = rep.line_list()
+    lines = line_list(rep)
     assert len(lines) == 2
     census = concurrency_census(lines)
     assert len(census) == 1
@@ -210,7 +235,7 @@ def test_path_rep():
 def test_k4_rep_triples_only_at_vertices():
     edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     rep = sparse_line_rep([0, 1, 2, 3], edges)
-    lines = rep.line_list()
+    lines = line_list(rep)
     assert len(lines) == 6
     vertex_pts = set(rep.positions.values())
     for pt, through in concurrency_census(lines).items():
@@ -223,7 +248,7 @@ def test_non_vertex_intersections_on_two_lines():
     inst = build_line_instance(6, seed=1)
     rep = side_rep(inst, "L")
     vertex_pts = set(rep.positions.values())
-    for pt, through in concurrency_census(rep.line_list()).items():
+    for pt, through in concurrency_census(line_list(rep)).items():
         if pt not in vertex_pts:
             assert len(through) == 2
 
@@ -231,7 +256,7 @@ def test_non_vertex_intersections_on_two_lines():
 def test_gml_rep_counts():
     inst = build_line_instance(6, seed=1)
     rep = side_rep(inst, "L")
-    lines = rep.line_list()
+    lines = line_list(rep)
     assert len(lines) == 24
     assert max(len(v) for v in concurrency_census(lines).values()) == 4
 
@@ -239,7 +264,7 @@ def test_gml_rep_counts():
 def test_evaluate_hitting_examples():
     inst = build_line_instance(6, seed=1)
     rep = side_rep(inst, "L")
-    lines = rep.line_list()
+    lines = line_list(rep)
     assert evaluate_hitting(inst.r_points, lines) == 24
     assert evaluate_hitting([], lines) == 0
     l0 = inst.rep.positions[0]
@@ -281,7 +306,7 @@ def test_probe_size_validation():
 
 def test_final_opt_is_4m():
     inst = build_line_instance(6, seed=1)
-    lines = side_rep(inst, "L").line_list()
+    lines = line_list(side_rep(inst, "L"))
     value, _ = solve_hitting(lines, 6)
     assert value == 24
 
@@ -322,7 +347,7 @@ def test_greedy_hitting_trace():
 
 def test_edge_list_export_format():
     g = random_expander(4, seed=1)
-    text = g.edge_list_text()
+    text = edge_list_text(g)
     rows = text.strip().splitlines()
     assert len(rows) == 12
     for row in rows:
@@ -347,10 +372,31 @@ def test_sparse_rep_repairs_concurrent_chords():
     # The verifier must catch this and perturb a vertex.
     edges = [(0, 5), (1, 4), (2, 3)]
     rep = sparse_line_rep(range(6), edges)
-    census = concurrency_census(rep.line_list())
+    census = concurrency_census(line_list(rep))
     assert max(len(v) for v in census.values()) == 2
     moved = [v for v in range(6) if rep.positions[v][1] != Fraction((v + 1) ** 3)]
     assert moved  # at least one vertex was nudged off the curve
+
+
+def test_sparse_rep_budget_is_one_retry_per_vertex():
+    # Five lines through vertex 0 wherever it moves: every retry names it.
+    with pytest.raises(SparseLineRepError, match="within 6 retries"):
+        sparse_line_rep(range(6), [(0, v) for v in range(1, 6)])
+
+
+def test_gen_lines_draws_at_m90(monkeypatch):
+    # 240 vertices: more retries than the old fixed budget of 60 allowed.
+    drawn = []
+
+    def kept(vertices, edges):
+        drawn.append(sparse_line_rep(vertices, edges))
+        return drawn[-1]
+
+    monkeypatch.setattr(streams, "sparse_line_rep", kept)
+    assert len(gen_lines(90, seed=1)) == 4 * 90
+    (rep,) = drawn
+    assert len(rep.positions) == 240
+    assert verify_sparse(rep.positions, rep.lines) is None
 
 
 def test_trigger_completes_full_coverage():

@@ -7,8 +7,9 @@ verbatim apart from their names (and ``line_intersection``, which they
 call).  Candidate order, masks, census and both oracles' ``solve_hitting``
 output must agree on seeded random line sets rich in duplicate, parallel,
 vertical, horizontal and through-origin lines, and on every arrived prefix
-of ``gen_lines``; ``verify_sparse`` must name the same vertex on every
-drawing ``sparse_line_rep`` tries and on random small-grid drawings.
+of ``gen_lines``; ``sparse_line_rep``'s incremental check must name the
+same vertex on every drawing it tries, and ``verify_sparse`` on random
+small-grid drawings.
 """
 
 import functools
@@ -245,18 +246,23 @@ def test_solve_hitting_matches_reference(kind, monkeypatch):
 
 
 def test_verify_sparse_matches_reference_on_gen_lines_retries(monkeypatch):
+    # The incremental verdict of every retry, against the reference on the
+    # drawing as it stands.
     verdicts = []
+    incremental = lines_module._Drawing.verdict
 
-    def checked(positions, lines):
-        verdict = verify_sparse(positions, lines)
-        assert verdict == reference_verify_sparse(positions, lines)
+    def checked(drawing):
+        verdict = incremental(drawing)
+        lines = dict(zip(drawing.edges, drawing.lines))
+        assert verdict == reference_verify_sparse(drawing.positions, lines)
         verdicts.append(verdict)
         return verdict
 
-    monkeypatch.setattr(lines_module, "verify_sparse", checked)
+    monkeypatch.setattr(lines_module._Drawing, "verdict", checked)
     for m in (6, 9, 12, 15):
-        gen_lines(m, seed=1)
-    assert verdicts.count(None) == 4 and len(verdicts) > 4
+        for seed in (1, 2, 3, 777):
+            gen_lines(m, seed)
+    assert verdicts.count(None) == 16 and len(verdicts) > 16
 
 
 def grid_drawing(spots, edges):
@@ -276,10 +282,22 @@ FIVE_OFF_VERTEX = grid_drawing(
     [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)],
 )
 
+# Two crowded points off every vertex on the line of edge (0, 1): (0, 0) on
+# the lines y = x and y = -2x, and (10, 0) on their parallels.  Each
+# drawing gives the lower index pair (0, 1) to a different point, which then
+# names 5 (the other would name 9).
+_CROWDED_SPOTS = [(1, 1), (2, 2), (-1, 2), (-2, 4)], [(11, 1), (12, 2), (11, -2), (12, -4)]
+TWO_CROWDED_ON_ONE_LINE = [
+    grid_drawing([(3, 0), (7, 0), *first, *second], [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
+    for first, second in (_CROWDED_SPOTS, _CROWDED_SPOTS[::-1])
+]
+
 
 def test_verify_sparse_matches_reference_on_grid_drawings():
     assert verify_sparse(*FIVE_AT_VERTEX) == reference_verify_sparse(*FIVE_AT_VERTEX) == 0
     assert verify_sparse(*FIVE_OFF_VERTEX) == reference_verify_sparse(*FIVE_OFF_VERTEX) == 9
+    for drawing in TWO_CROWDED_ON_ONE_LINE:
+        assert verify_sparse(*drawing) == reference_verify_sparse(*drawing) == 5
     rng = random.Random(11)
     verdicts = set()
     for _ in range(300):
@@ -289,4 +307,31 @@ def test_verify_sparse_matches_reference_on_grid_drawings():
         verdict = verify_sparse(*drawing)
         assert verdict == reference_verify_sparse(*drawing)
         verdicts.add(verdict is None)
+    assert verdicts == {True, False}
+
+
+def test_incremental_verdict_matches_reference_under_moves():
+    # Small-grid drawings are rich in duplicate lines, crowded meets and
+    # isolated vertices; after each move of a vertex to a free grid spot the
+    # kept table equals a fresh one and the verdict the reference's.
+    rng = random.Random(13)
+    grid = [(x, y) for x in range(5) for y in range(5)]
+    verdicts = set()
+    drawings = [FIVE_AT_VERTEX, FIVE_OFF_VERTEX, *TWO_CROWDED_ON_ONE_LINE]
+    for _ in range(300):
+        spots = rng.sample(grid, rng.randint(3, 9))
+        pairs = [(u, w) for u in range(len(spots)) for w in range(u + 1, len(spots))]
+        drawings.append(grid_drawing(spots, rng.sample(pairs, rng.randint(1, min(len(pairs), 10)))))
+    for positions, lines in drawings:
+        drawing = lines_module._Drawing(dict(positions), sorted(lines))
+        for _ in range(4):
+            assert drawing.meets == lines_module._meets(drawing.lines)
+            assert drawing.crowded == {k for k, mask in drawing.meets.items() if mask.bit_count() >= 3}
+            now = dict(zip(drawing.edges, drawing.lines))
+            verdict = drawing.verdict()
+            assert verdict == reference_verify_sparse(drawing.positions, now)
+            verdicts.add(verdict is None)
+            taken = set(drawing.positions.values())
+            x, y = rng.choice([s for s in grid if (Fraction(s[0]), Fraction(s[1])) not in taken])
+            drawing.move(rng.choice(list(drawing.positions)), (Fraction(x), Fraction(y)))
     assert verdicts == {True, False}

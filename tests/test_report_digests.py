@@ -4,8 +4,8 @@ A change that must keep reports byte-identical keeps these digests.  The
 streams cover both SAS tolerances the tests use, the scaled pipeline up to
 ``GroupSwap``, the 2-stable baseline, the exact maintainer (random and
 lower-bound streams) and the hitting maintainers on line streams (greedy at
-m 6, 9 and 12, exact at m 6 and 9).  The generated line text at m 9 and 12
-has digests of its own.
+m 6, 9 and 12, exact at m 6 and 9).  The generated line text at m 9, 12,
+30 and 60 has digests of its own.
 """
 
 import functools
@@ -80,11 +80,14 @@ CASES = {
     ),
 }
 
-# The generated line streams themselves: their text pins the drawing,
-# that is sparse_line_rep's retries through verify_sparse and the census.
+# The generated line streams themselves: their text pins the drawing, that
+# is the vertex each of sparse_line_rep's retries moves (22 moves at m=30,
+# 41 at m=60), and the census.
 GEN_LINES = {
     9: "b0e50240ae2dea632d5ce251df1c815cd5ff50f8f2bb41ff5ab3b82a9989a22c",
     12: "5cb50f29ef0dcbd5d639bbf4a649f684116db6f8d3860603783c1398776e3379",
+    30: "4260b3d4a2a5d657b1a52f0f59e07dad9c489f9ccc6a89160c77f2034cfe2247",
+    60: "957689427f8ecdd55ec9e49a9447eca0dda627f2057e04313566a68b97d789d5",
 }
 
 
