@@ -122,13 +122,14 @@ def sampled_expansion_check(
     return True
 
 
-def random_expander(
-    n: int,
-    seed: int,
-    alpha: float = 0.1,
-    samples: int = 1000,
-    max_retries: int = 50,
-) -> BipartiteExpander:
+# random_expander's acceptance test: EXPANSION_SAMPLES subsets of size at most
+# EXPANSION_ALPHA * n, on at most EXPANDER_TRIES sampled graphs.
+EXPANSION_ALPHA = 0.1
+EXPANSION_SAMPLES = 1000
+EXPANDER_TRIES = 50
+
+
+def random_expander(n: int, seed: int) -> BipartiteExpander:
     """3-regular bipartite expander with |L| = |R| = n.
 
     For even n this is the double cover of a random 3-regular graph; odd n
@@ -138,14 +139,15 @@ def random_expander(
     if n < 4:
         raise ValueError("n must be at least 4")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(EXPANDER_TRIES):
         if (3 * n) % 2 == 0:
             graph = double_cover(random_regular_edges(n, 3, rng), n)
         else:
             graph = random_bipartite_regular(n, 3, rng)
-        if sampled_expansion_check(graph, alpha, samples, seed=rng.randrange(2**30)):
+        check_seed = rng.randrange(2**30)
+        if sampled_expansion_check(graph, EXPANSION_ALPHA, EXPANSION_SAMPLES, check_seed):
             return graph
-    raise SeedExhaustionError(f"no expander for n={n} within {max_retries} tries")
+    raise SeedExhaustionError(f"no expander for n={n} within {EXPANDER_TRIES} tries")
 
 
 @dataclass
@@ -158,7 +160,6 @@ class ExtendedGraph:
     """
 
     base: BipartiteExpander
-    side: str  # "L": attach to R; "R": attach to L
     z_edges: list[tuple[int, int]]
     z_start: int
 
@@ -173,9 +174,7 @@ class ExtendedGraph:
         return deg
 
 
-def _attach(
-    graph: BipartiteExpander, targets: range, side: str, z_start: int
-) -> ExtendedGraph:
+def _attach(graph: BipartiteExpander, targets: range, z_start: int) -> ExtendedGraph:
     n = graph.n
     if n % 3 != 0:
         raise ValueError("n must be divisible by 3")
@@ -184,14 +183,14 @@ def _attach(
         z = z_start + i
         for k in range(3):
             z_edges.append((z, targets[3 * i + k]))
-    return ExtendedGraph(base=graph, side=side, z_edges=z_edges, z_start=z_start)
+    return ExtendedGraph(base=graph, z_edges=z_edges, z_start=z_start)
 
 
 def build_GmL(graph: BipartiteExpander, z_start: int | None = None) -> ExtendedGraph:
     """Attach n/3 fresh degree-3 vertices, each to 3 unused R vertices."""
-    return _attach(graph, graph.right, "L", 2 * graph.n if z_start is None else z_start)
+    return _attach(graph, graph.right, 2 * graph.n if z_start is None else z_start)
 
 
 def build_GmR(graph: BipartiteExpander, z_start: int | None = None) -> ExtendedGraph:
     """Mirror construction attaching to L."""
-    return _attach(graph, graph.left, "R", 2 * graph.n if z_start is None else z_start)
+    return _attach(graph, graph.left, 2 * graph.n if z_start is None else z_start)

@@ -83,8 +83,9 @@ def coverage_value(points: Iterable[Point], disks: list[UnitDisk]) -> int:
 
 def disk_churn(before: list[UnitDisk], after: list[UnitDisk]) -> int:
     """Disks changed between two solutions: their multiset symmetric difference."""
-    a, b = Counter(before), Counter(after)
-    return sum((a - b).values()) + sum((b - a).values())
+    count = Counter(before)
+    count.subtract(after)
+    return sum(map(abs, count.values()))
 
 
 def cell_of(p: Point, grid: GridSpec) -> CellId:

@@ -30,7 +30,7 @@ from .adversary.streams import (
     build_line_instance,
     solve_hitting,
 )
-from .geometry import GridSelectionError, Point, UnitDisk, coverage_value, disk_churn
+from .geometry import Point, UnitDisk, coverage_value, disk_churn
 from .sas_engine import EngineConfig, EngineState, UpdateReport, within_ratio
 from .static_solver import SolverBudgetError, SolverKind, solve
 
@@ -270,13 +270,13 @@ def run_lines(
     rows = []
     arrived: list[RationalLine] = []
     for t, triple in enumerate(steps, start=1):
-        before = set(maintainer.solution())
+        before = maintainer.solution()
         maintainer.apply_triple(triple)
-        after = set(maintainer.solution())
+        after = maintainer.solution()
         arrived.extend(triple)
         alg = evaluate_hitting(after, arrived)
         opt, _ = solve_hitting(arrived, config.m)
-        churn = len(before ^ after)
+        churn = disk_churn(before, after)
         if engine == "exact_hitting":
             _check(alg == opt, f"exact hitting maintainer suboptimal at t={t}")
         rows.append(_row(t, "lines", alg, opt, churn, "Hitting"))
@@ -338,7 +338,7 @@ def _write(text: str, out: str | None) -> None:
 # search budget, or a failed invariant: one ``error:`` line and exit code 2.
 INPUT_ERRORS = (
     HarnessError, OSError, ValueError, sas_engine.StreamError, sas_engine.EngineInvariantError,
-    SolverBudgetError, GridSelectionError, SparseLineRepError, SeedExhaustionError,
+    SolverBudgetError, SparseLineRepError, SeedExhaustionError,
 )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, KeysView
@@ -62,10 +62,10 @@ class EngineConfig:
     A derived constant left as ``None`` follows its standard formula in
     ``epsilon`` (ceilings applied to every ``1/epsilon`` power).  Overrides
     apply in either mode and let the pipeline run at desk scale, where its
-    guarantees are no longer promised; ``scaled_mode`` only turns the four
-    fallbacks on: a failed grid selection, a failed group search, an
-    oversized replacement or a group swap over its churn bound then swaps
-    everything instead of raising.
+    guarantees are no longer promised.  A failed step (grid selection, the
+    group search, a replacement larger than the removal set, a group swap over
+    its churn bound) makes the planner return a swap-all with the failure as
+    its ``reason``; ``scaled_mode`` lets the repair install that plan.
     """
 
     m: int
@@ -115,6 +115,14 @@ class EngineConfig:
             raise ValueError("kappa must exceed the group extension length")
         if self.block_max < self.block_min:
             raise ValueError("block_max must be at least block_min")
+        if self.block_min < 1:
+            raise ValueError("block_min must be at least 1")
+        if self.extend < 0:
+            raise ValueError("extend must be at least 0")
+        if self.grid_shifts < 1:
+            raise ValueError("grid_shifts must be at least 1")
+        if not 0.0 < self.grid_edge < math.inf:
+            raise ValueError("grid_edge must be finite and above 0")
 
     @property
     def cover_budget(self) -> int:
@@ -199,6 +207,8 @@ class Swap:
     s_old: list[int]
     s_new: list[UnitDisk]
     branch: Branch
+    # Why a fallback plan replaces a failed pipeline step; None for a design.
+    reason: str | None = None
 
     def __post_init__(self) -> None:
         if len(self.s_new) > len(self.s_old):
@@ -379,8 +389,10 @@ def within_ratio(opt: int, alg: int, epsilon: Fraction) -> bool:
     return opt * epsilon.denominator <= (epsilon.denominator + epsilon.numerator) * alg
 
 
-def _swap_everything(state: EngineState, disks: list[UnitDisk], branch: Branch) -> Swap:
-    return Swap(s_old=list(range(len(state.disks))), s_new=list(disks), branch=branch)
+def _swap_everything(
+    state: EngineState, disks: list[UnitDisk], branch: Branch, reason: str | None = None
+) -> Swap:
+    return Swap(list(range(len(state.disks))), list(disks), branch, reason)
 
 
 def find_valid_swap(state: EngineState, opt_sol: Solution) -> Swap:
@@ -388,7 +400,7 @@ def find_valid_swap(state: EngineState, opt_sol: Solution) -> Swap:
 
     ``opt_sol`` is the oracle optimum for ``state.points``.  Precondition: its
     value strictly exceeds ``(1+epsilon)`` times the current coverage and ``m``
-    is above the trivial threshold.
+    is above the trivial threshold; a step that fails plans a swap-all with a ``reason``.
     """
     cfg = state.config
     try:
@@ -401,10 +413,8 @@ def find_valid_swap(state: EngineState, opt_sol: Solution) -> Swap:
             edge=cfg.grid_edge,
             shifts=cfg.grid_shifts,
         )
-    except GridSelectionError:
-        if cfg.scaled_mode:
-            return _swap_everything(state, opt_sol.disks, Branch.TRIVIAL_SWAP_ALL)
-        raise
+    except GridSelectionError as exc:
+        return _swap_everything(state, opt_sol.disks, Branch.TRIVIAL_SWAP_ALL, str(exc))
 
     # The optimum's points that no boundary disk of the algorithm holds are
     # reliably new; only the optimum's internal disks count them.
@@ -452,7 +462,7 @@ def find_valid_swap(state: EngineState, opt_sol: Solution) -> Swap:
     dummies = pad_opt(internal_opt, cfg.m, set(records), grid, min_y)
     for d in dummies:
         records[cell_of(d.center, grid)].opt_disks.append(d)
-    padded = internal_opt + dummies
+    swap_all = _swap_everything(state, internal_opt + dummies, Branch.FEW_BLOCKS_SWAP_ALL)
 
     def counts(cell: CellId) -> tuple[CellId, int, int]:
         return (cell, len(records[cell].alg_disks), len(records[cell].opt_disks))
@@ -467,7 +477,7 @@ def find_valid_swap(state: EngineState, opt_sol: Solution) -> Swap:
 
     blocks = make_blocks(ordered, cfg.block_min, cfg.block_max)
     if len(blocks) < 3 * cfg.kappa:
-        return _swap_everything(state, padded, Branch.FEW_BLOCKS_SWAP_ALL)
+        return swap_all
 
     block_items = [(rank, b.alg_total, b.opt_total) for rank, b in enumerate(blocks)]
     block_bound = max(
@@ -489,9 +499,7 @@ def find_valid_swap(state: EngineState, opt_sol: Solution) -> Swap:
         ))
     choice = select_group(stats, cfg.kappa, cfg.extend)
     if choice is None:
-        if cfg.scaled_mode:
-            return _swap_everything(state, padded, Branch.FEW_BLOCKS_SWAP_ALL)
-        raise EngineInvariantError("no qualifying group found")
+        return replace(swap_all, reason="no qualifying group found")
 
     lo, hi = choice.group
     es, ee = choice.extension
@@ -500,19 +508,14 @@ def find_valid_swap(state: EngineState, opt_sol: Solution) -> Swap:
     s_old = sorted({i for rec in group + extension for i in rec.alg_disks})
     s_new = [d for rec in group for d in rec.opt_disks]
     if len(s_new) > len(s_old):
-        if cfg.scaled_mode:
-            return _swap_everything(state, padded, Branch.FEW_BLOCKS_SWAP_ALL)
-        raise EngineInvariantError("replacement larger than removal set")
+        return replace(swap_all, reason="replacement larger than removal set")
     # Blocks close at block_min, so one can hold more than block_max disks:
     # the plan's exact churn, as step will count it, must meet the bound.
     swap = Swap(s_old=s_old, s_new=s_new, branch=Branch.GROUP_SWAP)
     churn = disk_churn(state.disks, swapped_disks(state, swap))
-    if churn > cfg.churn_bound(Branch.GROUP_SWAP):
-        if cfg.scaled_mode:
-            return _swap_everything(state, padded, Branch.FEW_BLOCKS_SWAP_ALL)
-        raise EngineInvariantError(
-            f"group swap churn {churn} exceeds bound {cfg.churn_bound(Branch.GROUP_SWAP)}"
-        )
+    bound = cfg.churn_bound(Branch.GROUP_SWAP)
+    if churn > bound:
+        return replace(swap_all, reason=f"group swap churn {churn} exceeds bound {bound}")
     return swap
 
 
@@ -640,6 +643,8 @@ def _sas_repair(state: EngineState, opt_sol: Solution) -> tuple[int, Branch]:
         swap = _swap_everything(state, opt_sol.disks, Branch.TRIVIAL_SWAP_ALL)
     else:
         swap = find_valid_swap(state, opt_sol)
+    if swap.reason is not None and not cfg.scaled_mode:
+        raise EngineInvariantError(swap.reason)
     return apply_swap(state, swap), swap.branch
 
 

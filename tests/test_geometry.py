@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from stablecover.geometry import (
     cell_of,
     coverage_value,
     covers,
+    disk_churn,
     grid_shift_count,
     is_boundary,
     select_grid,
@@ -55,6 +57,17 @@ def test_assignment_counts_match_union_coverage():
         assert len(a) == coverage_value(pts, disks)
         for p, i in a.items():
             assert covers(disks[i], p)
+
+
+def test_disk_churn_is_multiset_symmetric_difference():
+    rng = random.Random(5)
+    disks = [UnitDisk(Point(float(i), 0.0)) for i in range(4)]
+    assert disk_churn(disks[:1] * 2 + disks[1:2], disks[:1] + disks[2:3]) == 3
+    for _ in range(200):
+        before = rng.choices(disks, k=rng.randint(0, 6))
+        after = rng.choices(disks, k=rng.randint(0, 6))
+        a, b = Counter(before), Counter(after)
+        assert disk_churn(before, after) == sum((a - b).values()) + sum((b - a).values())
 
 
 def test_cell_of_examples():

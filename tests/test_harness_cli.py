@@ -179,12 +179,20 @@ LINE_TRIPLE = "line 1 0 0\nline 0 1 0\nline 1 1 -1\n"
          LINE_TRIPLE),
         (["run", "--stream", "STREAM", "--engine", "exact_hitting", "--epsilon", "0.9"],
          LINE_TRIPLE),
+        *(
+            (["run", "--stream", "STREAM", "--m", "16", "--solver", "greedy",
+              "--scaled", f"c_star=1,{override}"], "insert 1.0 1.0\n")
+            for override in ("grid_edge=0", "grid_edge=inf", "grid_edge=nan", "grid_shifts=0",
+                             "block_min=-1,block_max=0", "extend=-1")
+        ),
     ],
     ids=["nan", "inf", "missing-stream", "scaled-not-a-number", "scaled-unknown-key",
          "epsilon-out-of-range", "lines-m-not-divisible-by-3",
          "bbox-nan", "bbox-inf", "bbox-zero", "n-negative", "delete-prob-above-1",
          "delete-prob-negative", "solver-budget",
-         "exact-maintainer-bad-options", "greedy-hitting-epsilon", "exact-hitting-epsilon"],
+         "exact-maintainer-bad-options", "greedy-hitting-epsilon", "exact-hitting-epsilon",
+         "grid-edge-zero", "grid-edge-inf", "grid-edge-nan", "grid-shifts-zero",
+         "block-min-negative", "extend-negative"],
 )
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, stream_text):
     stream_path = tmp_path / "s.txt"

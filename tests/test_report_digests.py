@@ -2,10 +2,11 @@
 
 A change that must keep reports byte-identical keeps these digests.  The
 streams cover both SAS tolerances the tests use, the scaled pipeline up to
-``GroupSwap``, the 2-stable baseline, the exact maintainer (random and
-lower-bound streams) and the hitting maintainers on line streams (greedy at
-m 6, 9 and 12, exact at m 6 and 9).  The generated line text at m 9, 12,
-30 and 60 has digests of its own.
+``GroupSwap`` and through all four scaled-mode fallbacks, the 2-stable
+baseline, the exact maintainer (random and lower-bound streams) and the
+hitting maintainers on line streams (greedy at m 6, 9 and 12, exact at m 6
+and 9).  The generated line text at m 9, 12, 30 and 60 has digests of its
+own.
 """
 
 import functools
@@ -29,6 +30,9 @@ SCALED = dict(
     block_max=2, balance_cells=2, balance_blocks=4, grid_shifts=2, grid_edge=4,
 )
 
+# Constants under which a stream reaches all four fallback reasons.
+FALLBACKS = dict(SCALED, block_max=1, grid_shifts=4, grid_edge=8)
+
 RANDOM = gen_random(80, 8.0, seed=11, delete_prob=0.25)
 
 CASES = {
@@ -44,6 +48,11 @@ CASES = {
         RunConfig(engine="sas", m=16, epsilon=0.25, solver=SolverKind.GREEDY, scaled=SCALED),
         gen_random(200, 40.0, seed=3, delete_prob=0.3),
         "12034933f1db862dfd746dcddf9341582575248df4df9ec94a65e89ed7ca876a",
+    ),
+    "sas-greedy-fallbacks": (
+        RunConfig(engine="sas", m=16, epsilon=0.25, solver=SolverKind.GREEDY, scaled=FALLBACKS),
+        gen_random(120, 10.0, seed=830211, delete_prob=0.2),
+        "bf3b97892d801c288d561aa5a0183bcb63fcf826bc3bb01f2e852946a6047e07",
     ),
     "two-stable": (
         RunConfig(engine="two_stable", m=4), RANDOM,

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from stablecover import sas_engine
 from stablecover.baseline import update2
 from stablecover.geometry import Point, UnitDisk, assign_points, cell_of, is_boundary
 from stablecover.sas_engine import (
@@ -601,7 +602,61 @@ def test_group_swap_over_churn_bound_raises_outside_scaled_mode():
     for op, p in events[:5]:
         update(state, op, p)
     state.config = dataclasses.replace(cfg, scaled_mode=False)
+    with pytest.raises(EngineInvariantError, match="^group swap churn 14 exceeds bound 12$"):
+        update(state, *events[5])
+    # The planner itself labels the fallback instead of raising.
     apply_event(state, *events[5])
-    opt_sol = solve(state.points, cfg.m, cfg.solver)
-    with pytest.raises(EngineInvariantError, match="group swap churn 14 exceeds bound 12"):
-        find_valid_swap(state, opt_sol)
+    swap = find_valid_swap(state, solve(state.points, cfg.m, cfg.solver))
+    assert swap.branch is Branch.FEW_BLOCKS_SWAP_ALL
+    assert swap.reason == "group swap churn 14 exceeds bound 12"
+
+
+# Scaled constants under which one stream's first 21 steps reach all four
+# fallback reasons; the planner's designed plans carry no reason.
+def fallback_config(scaled_mode=True):
+    return EngineConfig(
+        m=16, epsilon=0.25, solver=SolverKind.GREEDY, scaled_mode=scaled_mode,
+        c_star=1, trivial_threshold=0, kappa=2, extend=1, block_min=1, block_max=1,
+        balance_cells=2, balance_blocks=4, grid_shifts=4, grid_edge=8,
+    )
+
+
+def fallback_events():
+    rows = gen_random(120, 10.0, seed=830211, delete_prob=0.2)
+    return parse_stream("\n".join(rows) + "\n").point_events
+
+
+def test_each_fallback_reason_labels_its_plan(monkeypatch):
+    plans = {}
+
+    def recording(state, opt_sol):
+        plans[state.t] = find_valid_swap(state, opt_sol)
+        return plans[state.t]
+
+    monkeypatch.setattr(sas_engine, "find_valid_swap", recording)
+    state = EngineState(config=fallback_config())
+    churn = {}
+    for op, p in fallback_events()[:21]:
+        rep = update(state, op, p)
+        churn[rep.t] = rep.churn
+        assert rep.branch is (plans[rep.t].branch if rep.t in plans else Branch.NO_CHANGE)
+    few, trivial = Branch.FEW_BLOCKS_SWAP_ALL, Branch.TRIVIAL_SWAP_ALL
+    no_group = "no qualifying group found"
+    assert {t: (s.branch, s.reason, churn[t]) for t, s in plans.items()} == {
+        1: (few, "group swap churn 14 exceeds bound 6", 32),
+        3: (Branch.GROUP_SWAP, None, 6),
+        4: (Branch.GROUP_SWAP, None, 4),
+        5: (few, no_group, 28),
+        8: (few, no_group, 18),
+        13: (few, "replacement larger than removal set", 28),
+        17: (few, no_group, 14),
+        21: (trivial, "no grid with boundary coverage <= 11/8 among 4x4 shifts", 12),
+    }
+
+
+def test_fallback_raises_its_reason_outside_scaled_mode():
+    state = EngineState(config=fallback_config(scaled_mode=False))
+    before = _snapshot(state)
+    with pytest.raises(EngineInvariantError, match="^group swap churn 14 exceeds bound 6$"):
+        update(state, *fallback_events()[0])
+    assert _snapshot(state) == before
