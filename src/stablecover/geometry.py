@@ -77,8 +77,34 @@ def assign_points(points: Iterable[Point], disks: list[UnitDisk]) -> Assignment:
 
 
 def coverage_value(points: Iterable[Point], disks: list[UnitDisk]) -> int:
-    """Number of points covered by the union of the disks."""
-    return sum(1 for p in points if any(covers(d, p) for d in disks))
+    """Number of points covered by the union of the disks, by ``covers``.
+
+    Each point gets a bit and is filed in its 2x2 bucket ``(floor(x/2),
+    floor(y/2))``; each disk ORs the bits of the points in the 3x3 buckets
+    around its center's that ``covers`` accepts (inlined, same operations),
+    and the union's popcount is the count.  That window holds every point
+    ``covers`` can accept: ``covers`` implies ``|fl(dx)| <= 1``, and rounding
+    is monotone, so the true offset is below 2 and the buckets of the two x
+    coordinates differ by at most 1 (likewise for y).  No 1x1 rule applies
+    here, unlike ``static_solver.coverage_masks``: a point one unit plus half
+    an ulp from a center counts, as ``covers`` says.
+    """
+    buckets: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
+    for i, p in enumerate(points):
+        key = (math.floor(p.x / 2.0), math.floor(p.y / 2.0))
+        buckets.setdefault(key, []).append((p.x, p.y, 1 << i))
+    covered = 0
+    for d in disks:
+        x, y = d.center
+        bx, by = math.floor(x / 2.0), math.floor(y / 2.0)
+        for nx in (bx - 1, bx, bx + 1):
+            for ny in (by - 1, by, by + 1):
+                for px, py, bit in buckets.get((nx, ny), ()):
+                    dx = px - x
+                    dy = py - y
+                    if dx * dx + dy * dy <= 1.0:
+                        covered |= bit
+    return covered.bit_count()
 
 
 def disk_churn(before: list[UnitDisk], after: list[UnitDisk]) -> int:

@@ -308,12 +308,27 @@ def run(config: RunConfig, stream: UpdateStream) -> str:
 
 
 def _parse_overrides(text: str) -> dict:
+    """``key=value`` items separated by commas; an empty text is no overrides.
+
+    An item without ``=``, an empty key, a repeated key or a value that is not
+    a number is a :class:`HarnessError` that names the key.
+    """
     out: dict = {}
+    if not text.strip():
+        return out
     for item in text.split(","):
-        key, _, value = item.partition("=")
+        key, eq, value = item.partition("=")
         key = key.strip()
-        if key:
+        if not eq:
+            raise HarnessError(f"scaled constant {item.strip()!r} needs a value: key=value")
+        if not key:
+            raise HarnessError(f"scaled constant {item.strip()!r} has an empty key")
+        if key in out:
+            raise HarnessError(f"scaled constant {key} given twice")
+        try:
             out[key] = (float if key == "grid_edge" else int)(value)
+        except ValueError as exc:
+            raise HarnessError(f"scaled constant {key}: {exc}") from None
     return out
 
 

@@ -24,6 +24,14 @@ gives the same candidates in the same order with the same masks up to a
 relabelling of the bits, so the solve returns the same result.  The replay
 harness keeps calling the from-scratch path, which makes its re-solve an
 independent check on the index.
+
+The from-scratch path finds neighbours through a grid of 2x2 buckets built
+per call: :func:`candidate_disks` scans each occupied bucket against itself
+and its four forward neighbours for pairs at distance <= 2, and
+:func:`coverage_masks` builds one neighbour list per 2x2 bucket (its 3x3
+block) and shares it among the centers in that bucket.  Neither reads the
+index; the two paths share only the bucket definitions and the 1x1 rule of
+:func:`_covered_bits`.
 """
 
 from __future__ import annotations
@@ -125,40 +133,42 @@ def candidate_disks(points: list[Point] | set[Point]) -> list[UnitDisk]:
     One disk centered at each point, plus for every pair at distance <= 2 the
     one or two unit circles through both points.  Output is deduplicated and
     deterministic (sorted points, then sorted pairs, plus-normal circle first).
+
+    A pair is tested only when its points' 2x2 buckets are equal or
+    neighbours: each occupied bucket is scanned against itself and its four
+    forward neighbours, so each neighbouring pair of buckets once.
     """
     pts = sorted(set(points))
-    out: list[UnitDisk] = []
-    seen: set[Point] = set()
+    out = [UnitDisk(p) for p in pts]
+    seen = set(pts)
 
-    def emit(center: Point) -> None:
-        if center not in seen:
-            seen.add(center)
-            out.append(UnitDisk(center))
-
-    for p in pts:
-        emit(p)
-
-    buckets: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for i, p in enumerate(pts):
-        buckets[_bucket(p)].append(i)
-    pairs = []
+    # 2x2 bucket column -> row -> (index, x, y): neighbour probes are int-keyed.
+    grid: dict[int, dict[int, list]] = {}
     for i, p in enumerate(pts):
         bx, by = _bucket(p)
-        for nx in (bx - 1, bx, bx + 1):
-            for ny in (by - 1, by, by + 1):
-                for j in buckets.get((nx, ny), ()):
-                    if j <= i:
-                        continue
-                    q = pts[j]
-                    d2 = (p.x - q.x) ** 2 + (p.y - q.y) ** 2
-                    if d2 <= 4.0:
+        grid.setdefault(bx, {}).setdefault(by, []).append((i, p.x, p.y))
+    pairs = []
+    for bx, col in grid.items():
+        ahead = grid.get(bx + 1, {})
+        for by, own in col.items():
+            for k, (i, x, y) in enumerate(own, start=1):
+                for j, qx, qy in own[k:]:
+                    if (x - qx) ** 2 + (y - qy) ** 2 <= 4.0:
                         pairs.append((i, j))
+            for other in (col.get(by + 1), ahead.get(by - 1), ahead.get(by), ahead.get(by + 1)):
+                if other is None:
+                    continue
+                for i, x, y in own:
+                    for j, qx, qy in other:
+                        if (x - qx) ** 2 + (y - qy) ** 2 <= 4.0:
+                            pairs.append((i, j) if i < j else (j, i))
     pairs.sort()
 
     for i, j in pairs:
-        p, q = pts[i], pts[j]
-        for center in _circles_through(p, q):
-            emit(center)
+        for center in _circles_through(pts[i], pts[j]):
+            if center not in seen:
+                seen.add(center)
+                out.append(UnitDisk(center))
     return out
 
 
@@ -194,21 +204,56 @@ def _circles_through(p: Point, q: Point) -> list[Point]:
 
 
 def coverage_masks(points: list[Point], disks: list[UnitDisk]) -> list[int]:
-    """Bitmask over ``points`` of what each disk covers."""
-    buckets: dict[tuple[int, int], list[int]] = defaultdict(list)
+    """Bitmask over ``points`` of what each disk covers.
+
+    Each point is filed once in its 2x2 bucket, with its 1x1 bucket and its
+    bit.  A disk's neighbour list is the points in the 3x3 2x2 buckets around
+    its center's, built once per bucket and shared by every center in it; of
+    those, :func:`_covered_bits` keeps what the 1x1 rule and ``covers`` accept.
+    """
+    grid: dict[int, dict[int, list]] = {}  # column -> row -> entries
     for i, p in enumerate(points):
-        buckets[_cell(p)].append(i)
+        bx, by = _bucket(p)
+        grid.setdefault(bx, {}).setdefault(by, []).append((p, 1 << i, _cell(p)))
+    near: dict[tuple[int, int], list[tuple]] = {}
     masks = []
     for d in disks:
-        cx, cy = _cell(d.center)
-        m = 0
-        for bx in range(cx - 1, cx + 2):
-            for by in range(cy - 1, cy + 2):
-                for i in buckets.get((bx, by), ()):
-                    if covers(d, points[i]):
-                        m |= 1 << i
-        masks.append(m)
+        key = _bucket(d.center)
+        around = near.get(key)
+        if around is None:
+            bx, by = key
+            around = near[key] = []
+            for nx in (bx - 1, bx, bx + 1):
+                col = grid.get(nx)
+                if col is not None:
+                    for ny in (by - 1, by, by + 1):
+                        entries = col.get(ny)
+                        if entries:
+                            around += entries
+        masks.append(_covered_bits(d.center, around))
     return masks
+
+
+def _covered_bits(center: Point, near: list[tuple]) -> int:
+    """The OR of the bits of the ``(point, bit, 1x1 bucket)`` entries in
+    ``near`` that a disk at ``center`` gets a mask bit for.
+
+    The one definition of the 1x1 rule: a point counts only when its 1x1
+    bucket neighbours the center's and ``covers`` holds (inlined here with
+    the same operations).  The rule drops a few half-ulp points that
+    ``covers`` alone accepts; see :func:`stablecover.geometry.coverage_value`.
+    The 2x2 buckets around the center's hold every 1x1 bucket around it.
+    """
+    x, y = center
+    cx, cy = math.floor(x), math.floor(y)  # _cell(center), inlined
+    mask = 0
+    for (qx, qy), bit, (kx, ky) in near:
+        if -1 <= kx - cx <= 1 and -1 <= ky - cy <= 1:
+            dx = qx - x
+            dy = qy - y
+            if dx * dx + dy * dy <= 1.0:
+                mask |= bit
+    return mask
 
 
 # A candidate center's source: a point's own disk, ``(0, p)``, or the
@@ -329,19 +374,13 @@ class CandidateIndex:
             _discard(self._center_buckets, _cell(d.center), d)
 
     def _mask_of(self, d: UnitDisk) -> int:
-        """The slot mask of the live points ``coverage_masks`` would give ``d``.
-
-        The 2x2 buckets around ``d``'s hold every 1x1 bucket around it.
-        """
-        cx, cy = _cell(d.center)
+        """The slot mask of the live points ``coverage_masks`` would give ``d``."""
         bx, by = _bucket(d.center)
-        mask = 0
+        near = []
         for nx in (bx - 1, bx, bx + 1):
             for ny in (by - 1, by, by + 1):
-                for q, bit, (qx, qy) in self._point_buckets.get((nx, ny), ()):
-                    if -1 <= qx - cx <= 1 and -1 <= qy - cy <= 1 and covers(d, q):
-                        mask |= bit
-        return mask
+                near += self._point_buckets.get((nx, ny), ())
+        return _covered_bits(d.center, near)
 
 
 def _discard(buckets: dict[tuple[int, int], list], cell: tuple[int, int], item) -> None:

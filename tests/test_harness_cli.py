@@ -3,6 +3,7 @@ import pytest
 from stablecover.harness_cli import (
     HarnessError,
     RunConfig,
+    _parse_overrides,
     gen_lines,
     gen_lower_bound,
     gen_random,
@@ -185,6 +186,11 @@ LINE_TRIPLE = "line 1 0 0\nline 0 1 0\nline 1 1 -1\n"
             for override in ("grid_edge=0", "grid_edge=inf", "grid_edge=nan", "grid_shifts=0",
                              "block_min=-1,block_max=0", "extend=-1")
         ),
+        *(
+            (["run", "--stream", "STREAM", "--scaled", text], "insert 1.0 1.0\n")
+            for text in ("=3", "kappa", "trivial_threshold=9,trivial_threshold=8", "kappa=",
+                         "trivial_threshold=9,")
+        ),
     ],
     ids=["nan", "inf", "missing-stream", "scaled-not-a-number", "scaled-unknown-key",
          "epsilon-out-of-range", "lines-m-not-divisible-by-3",
@@ -192,7 +198,9 @@ LINE_TRIPLE = "line 1 0 0\nline 0 1 0\nline 1 1 -1\n"
          "delete-prob-negative", "solver-budget",
          "exact-maintainer-bad-options", "greedy-hitting-epsilon", "exact-hitting-epsilon",
          "grid-edge-zero", "grid-edge-inf", "grid-edge-nan", "grid-shifts-zero",
-         "block-min-negative", "extend-negative"],
+         "block-min-negative", "extend-negative",
+         "scaled-empty-key", "scaled-no-value", "scaled-repeated-key", "scaled-empty-value",
+         "scaled-empty-item"],
 )
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, stream_text):
     stream_path = tmp_path / "s.txt"
@@ -202,6 +210,23 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, strea
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("text, named", [
+    ("=3", "'=3'"), ("kappa", "kappa"), ("trivial_threshold=9,trivial_threshold=8", "trivial_threshold given twice"),
+    ("kappa=", "kappa"), ("c_star=1,extend=x", "extend"), ("grid_edge=wide", "grid_edge"),
+])
+def test_scaled_parse_error_names_the_key(tmp_path, capsys, text, named):
+    stream_path = tmp_path / "s.txt"
+    stream_path.write_text("insert 1.0 1.0\n")
+    assert main(["run", "--stream", str(stream_path), "--scaled", text]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: scaled constant") and named in err[0]
+
+
+def test_scaled_overrides_parse():
+    assert _parse_overrides("") == {}
+    assert _parse_overrides(" kappa=3 , grid_edge=4.5") == {"kappa": 3, "grid_edge": 4.5}
 
 
 @pytest.mark.parametrize("m", ["3", "10"])

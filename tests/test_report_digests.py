@@ -2,7 +2,8 @@
 
 A change that must keep reports byte-identical keeps these digests.  The
 streams cover both SAS tolerances the tests use, the scaled pipeline up to
-``GroupSwap`` and through all four scaled-mode fallbacks, the 2-stable
+``GroupSwap`` and through all four scaled-mode fallbacks, a sparse 600-event
+greedy stream at the benchmark's scaled constants, the 2-stable
 baseline, the exact maintainer (random and lower-bound streams) and the
 hitting maintainers on line streams (greedy at m 6, 9 and 12, exact at m 6
 and 9).  The generated line text at m 9, 12, 30 and 60 has digests of its
@@ -48,6 +49,13 @@ CASES = {
         RunConfig(engine="sas", m=16, epsilon=0.25, solver=SolverKind.GREEDY, scaled=SCALED),
         gen_random(200, 40.0, seed=3, delete_prob=0.3),
         "12034933f1db862dfd746dcddf9341582575248df4df9ec94a65e89ed7ca876a",
+    ),
+    # The benchmark's sas-greedy-sparse shape: the harness's from-scratch
+    # candidates, masks and recount at up to 240 live points in a 60x60 box.
+    "sas-greedy-sparse": (
+        RunConfig(engine="sas", m=16, epsilon=0.25, solver=SolverKind.GREEDY, scaled=SCALED),
+        gen_random(600, 60.0, seed=5, delete_prob=0.3),
+        "915b275f0cc76c36d42a443ca091c18c4bfd3832424c1d3d5c69ef45e3cb16d1",
     ),
     "sas-greedy-fallbacks": (
         RunConfig(engine="sas", m=16, epsilon=0.25, solver=SolverKind.GREEDY, scaled=FALLBACKS),

@@ -1,0 +1,232 @@
+"""The harness's from-scratch candidates, masks and recount against references.
+
+``candidate_disks``, ``coverage_masks`` and ``coverage_value`` find
+neighbours through 2x2-bucket neighbour lists.  The ``reference_*``
+functions below are the direct versions they replaced, kept verbatim: a
+9-bucket probe per point for the pairs, a 9-cell probe and a ``covers`` call
+per point and center for the masks, and ``covers`` for every point and disk
+in the recount.  Every output must be equal: the same disks in the same
+order, the same masks bit for bit and the same counts.
+
+The sets cover uniform floats in boxes of side 2 to 60, a half-unit lattice,
+pairs exactly 2 apart, negative and large coordinates, empty and one-point
+sets, and points on either side of a bucket edge (``1.9999999999999998``
+next to ``4.0`` is a pair by distance, since the difference rounds to 2, but
+not by bucket).  The half-ulp case pins both rules: ``coverage_value``
+counts what ``covers`` accepts, and the masks keep the 1x1 bucket rule.
+"""
+
+import math
+import random
+from collections import defaultdict
+
+import pytest
+
+from stablecover.geometry import Point, UnitDisk, covers, coverage_value
+from stablecover.static_solver import (
+    CandidateIndex,
+    _circles_through,
+    candidate_disks,
+    coverage_masks,
+    pad_disks,
+)
+
+
+def _bucket(p: Point) -> tuple[int, int]:
+    return (math.floor(p.x / 2.0), math.floor(p.y / 2.0))
+
+
+def _cell(p: Point) -> tuple[int, int]:
+    """The 1x1 bucket ``coverage_masks`` files a point or center under."""
+    return (math.floor(p.x), math.floor(p.y))
+
+
+def reference_candidate_disks(points: list[Point] | set[Point]) -> list[UnitDisk]:
+    """Candidate centers that realize every achievable single-disk coverage set.
+
+    One disk centered at each point, plus for every pair at distance <= 2 the
+    one or two unit circles through both points.  Output is deduplicated and
+    deterministic (sorted points, then sorted pairs, plus-normal circle first).
+    """
+    pts = sorted(set(points))
+    out: list[UnitDisk] = []
+    seen: set[Point] = set()
+
+    def emit(center: Point) -> None:
+        if center not in seen:
+            seen.add(center)
+            out.append(UnitDisk(center))
+
+    for p in pts:
+        emit(p)
+
+    buckets: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for i, p in enumerate(pts):
+        buckets[_bucket(p)].append(i)
+    pairs = []
+    for i, p in enumerate(pts):
+        bx, by = _bucket(p)
+        for nx in (bx - 1, bx, bx + 1):
+            for ny in (by - 1, by, by + 1):
+                for j in buckets.get((nx, ny), ()):
+                    if j <= i:
+                        continue
+                    q = pts[j]
+                    d2 = (p.x - q.x) ** 2 + (p.y - q.y) ** 2
+                    if d2 <= 4.0:
+                        pairs.append((i, j))
+    pairs.sort()
+
+    for i, j in pairs:
+        p, q = pts[i], pts[j]
+        for center in _circles_through(p, q):
+            emit(center)
+    return out
+
+
+def reference_coverage_masks(points: list[Point], disks: list[UnitDisk]) -> list[int]:
+    """Bitmask over ``points`` of what each disk covers."""
+    buckets: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for i, p in enumerate(points):
+        buckets[_cell(p)].append(i)
+    masks = []
+    for d in disks:
+        cx, cy = _cell(d.center)
+        m = 0
+        for bx in range(cx - 1, cx + 2):
+            for by in range(cy - 1, cy + 2):
+                for i in buckets.get((bx, by), ()):
+                    if covers(d, points[i]):
+                        m |= 1 << i
+        masks.append(m)
+    return masks
+
+
+def reference_coverage_value(points, disks: list[UnitDisk]) -> int:
+    """Number of points covered by the union of the disks."""
+    return sum(1 for p in points if any(covers(d, p) for d in disks))
+
+
+def _uniform(rng, n, side, x0=0.0, y0=0.0):
+    return [Point(x0 + rng.uniform(0.0, side), y0 + rng.uniform(0.0, side)) for _ in range(n)]
+
+
+def _lattice(rng, n, side):
+    return [Point(rng.randint(0, 2 * side) / 2, rng.randint(0, 2 * side) / 2) for _ in range(n)]
+
+
+def _two_apart(rng, n, x0=0.0, y0=0.0):
+    """Pairs exactly 2 apart along an axis, anchored on quarter-unit spots."""
+    out = []
+    for _ in range(n):
+        x, y = x0 + rng.randint(0, 24) / 4, y0 + rng.randint(0, 24) / 4
+        out += [Point(x, y), Point(x + 2.0, y) if rng.random() < 0.5 else Point(x, y + 2.0)]
+    return out
+
+
+def _edges(rng, n):
+    """Points on and one ulp either side of the 2x2 and 1x1 bucket edges."""
+    spots = []
+    for k in range(-3, 4):
+        edge = float(k)
+        spots += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+    return [Point(rng.choice(spots), rng.choice(spots)) for _ in range(n)]
+
+
+def _sets():
+    rng = random.Random(20261018)
+    sets = {"empty": [], "one-point": [Point(0.5, -0.25)]}
+    for side in (2.0, 3.0, 4.5, 8.0, 12.0, 20.0, 40.0, 60.0):
+        for n in (5, 40, 150) if side >= 8.0 else (5, 20, 60):
+            sets[f"uniform-{side}-{n}"] = _uniform(rng, n, side)
+    for side, n in ((2, 12), (3, 25), (5, 60)):
+        sets[f"lattice-{side}-{n}"] = _lattice(rng, n, side)
+    sets["two-apart"] = _two_apart(rng, 30)
+    sets["two-apart-negative"] = _two_apart(rng, 30, -7.0, -3.5)
+    sets["negative"] = _uniform(rng, 80, 12.0, -13.7, -6.1)
+    sets["large"] = _uniform(rng, 80, 10.0, 1.0e6, -3.0e7)
+    sets["huge"] = _uniform(rng, 40, 6.0, 2.0**40, 2.0**41)
+    sets["edges"] = _edges(rng, 60)
+    sets["edge-pair"] = [Point(1.9999999999999998, 0.5), Point(4.0, 0.5),
+                         Point(0.5, 1.9999999999999998), Point(0.5, 4.0)]
+    sets["half-ulp"] = list(HALF_ULP_POINTS)
+    return sets
+
+
+HALF_ULP_POINTS = (Point(0.0, 1.0), Point(2.0, 1.0), Point(1.0, 1.0), Point(1.0, 0.0),
+                   Point(1.0, 2.0))
+HALF_ULP_CENTER = Point(0.9999999999999999, 0.9999999999999999)
+
+SETS = _sets()
+
+
+def _probe_disks(rng, pts, count):
+    """Disks the masks and recount are checked on besides the candidates:
+    centers jittered by an ulp around points, centers on bucket edges, and
+    the parking disks of an unfilled solution."""
+    out = [UnitDisk(HALF_ULP_CENTER)]
+    for p in rng.sample(pts, min(count, len(pts))):
+        x = math.nextafter(p.x + rng.choice((-1.0, 0.0, 1.0)), rng.choice((-math.inf, math.inf)))
+        out.append(UnitDisk(Point(x, p.y + rng.uniform(-1.0, 1.0))))
+        out.append(UnitDisk(Point(float(math.floor(p.x)), math.nextafter(p.y, -math.inf))))
+    return out + pad_disks(2, min((p.y for p in pts), default=0.0))
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_candidate_disks_match_reference(name):
+    pts = SETS[name]
+    assert candidate_disks(pts) == reference_candidate_disks(pts)
+    assert candidate_disks(set(pts)) == reference_candidate_disks(pts)
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_coverage_masks_match_reference(name):
+    rng = random.Random(name)
+    pts = sorted(set(SETS[name]))
+    disks = reference_candidate_disks(pts) + _probe_disks(rng, pts, 20)
+    assert coverage_masks(pts, disks) == reference_coverage_masks(pts, disks)
+    # Any point order, duplicates included: a bit is a list position.
+    shuffled = SETS[name] + SETS[name][:3]
+    rng.shuffle(shuffled)
+    assert coverage_masks(shuffled, disks) == reference_coverage_masks(shuffled, disks)
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_coverage_value_matches_reference(name):
+    rng = random.Random(name)
+    pts = SETS[name]
+    cands = reference_candidate_disks(pts) + _probe_disks(rng, pts, 20)
+    for m in (1, 4, 16):
+        for _ in range(5):
+            disks = rng.sample(cands, min(m, len(cands)))
+            assert coverage_value(set(pts), disks) == reference_coverage_value(set(pts), disks)
+            assert coverage_value(pts, disks) == reference_coverage_value(pts, disks)
+    assert coverage_value(pts, cands) == reference_coverage_value(pts, cands)
+    assert coverage_value(pts, []) == 0
+
+
+def test_bucket_edge_pair_is_no_candidate_pair():
+    """The points are 2 apart by the rounded distance, but two 2x2 buckets
+    apart, so neither path makes a circle through them."""
+    a, b = Point(1.9999999999999998, 0.5), Point(4.0, 0.5)
+    assert (b.x - a.x) ** 2 == 4.0
+    assert candidate_disks([a, b]) == [UnitDisk(a), UnitDisk(b)]
+
+
+def test_half_ulp_center_by_covers_and_by_the_1x1_rule():
+    """The center is one unit plus half an ulp from (2, 1) and (1, 2): the
+    difference rounds to 1, so ``covers`` accepts all five points, but their
+    1x1 buckets are two away from the center's (0, 0)."""
+    disk = UnitDisk(HALF_ULP_CENTER)
+    assert all(covers(disk, p) for p in HALF_ULP_POINTS)
+    assert coverage_value(HALF_ULP_POINTS, [disk]) == 5
+    assert coverage_value(set(HALF_ULP_POINTS), [disk]) == 5
+
+    pts = sorted(HALF_ULP_POINTS)  # (0,1) (1,0) (1,1) (1,2) (2,1)
+    three = 0b00111
+    assert coverage_masks(pts, [disk]) == [three] == reference_coverage_masks(pts, [disk])
+
+    index = CandidateIndex(HALF_ULP_POINTS)
+    slot_mask = index._mask_of(disk)
+    relabelled = sum(1 << i for i, p in enumerate(pts) if slot_mask >> index._slot[p] & 1)
+    assert relabelled == three
