@@ -15,6 +15,7 @@ from fractions import Fraction
 
 # disk_churn is re-exported: callers and the benchmark's spans find it here.
 from ..geometry import Point, UnitDisk, disk_churn  # noqa: F401
+from ..sas_engine import check_event
 from ..static_solver import (
     CandidateIndex,
     SolverKind,
@@ -49,8 +50,10 @@ class ExactMaintainer:
     """Recomputes the canonical optimum after every event.
 
     The candidates come from a :class:`CandidateIndex` kept across events.  An
-    event applies fully or not at all: if the solve raises (say, out of its
-    node budget), the point set and the disks stay as they were.
+    event applies fully or not at all: a malformed one raises
+    ``sas_engine.StreamError``, as in the SAS engine, and if the solve raises
+    (say, out of its node budget), the point set and the disks stay as they
+    were.
     """
 
     def __init__(self, m: int, kind: SolverKind = SolverKind.EXACT):
@@ -61,10 +64,11 @@ class ExactMaintainer:
 
     def apply(self, op: str, p: Point) -> None:
         index = self.index
+        check_event(index, op, p)
         do, undo = (index.add, index.remove) if op == "insert" else (index.remove, index.add)
         do(p)
         try:
-            sol = solve(index.points, self.m, self.kind, index=index)
+            sol = solve(index, self.m, self.kind)
             self.disks = sol.disks
         except BaseException:
             undo(p)

@@ -85,9 +85,8 @@ def coverage_value(points: Iterable[Point], disks: list[UnitDisk]) -> int:
     and the union's popcount is the count.  That window holds every point
     ``covers`` can accept: ``covers`` implies ``|fl(dx)| <= 1``, and rounding
     is monotone, so the true offset is below 2 and the buckets of the two x
-    coordinates differ by at most 1 (likewise for y).  No 1x1 rule applies
-    here, unlike ``static_solver.coverage_masks``: a point one unit plus half
-    an ulp from a center counts, as ``covers`` says.
+    coordinates differ by at most 1 (likewise for y).  The masks of
+    ``static_solver`` use the same window and test.
     """
     buckets: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
     for i, p in enumerate(points):

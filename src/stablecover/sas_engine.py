@@ -519,23 +519,31 @@ def find_valid_swap(state: EngineState, opt_sol: Solution) -> Swap:
     return swap
 
 
+def check_event(index: CandidateIndex, op: str, p: Point) -> None:
+    """Raise :class:`StreamError` unless ``op`` on ``p`` is a valid update of
+    the indexed points: an insert of a new point or a delete of a present one."""
+    if op == "insert":
+        if p in index:
+            raise StreamError(f"insert of already-present point {p}")
+    elif op == "delete":
+        if p not in index:
+            raise StreamError(f"delete of absent point {p}")
+    else:
+        raise StreamError(f"unknown operation {op!r}")
+
+
 def apply_event(state: EngineState, op: str, p: Point) -> None:
     """Mutate the point set and keep the assignment consistent."""
+    check_event(state.index, op, p)
     if op == "insert":
-        if p in state.index:
-            raise StreamError(f"insert of already-present point {p}")
         state.index.add(p)
         for i, d in enumerate(state.disks):
             if covers(d, p):
                 state.assignment[p] = i
                 break
-    elif op == "delete":
-        if p not in state.index:
-            raise StreamError(f"delete of absent point {p}")
+    else:
         state.index.remove(p)
         state.assignment.pop(p, None)
-    else:
-        raise StreamError(f"unknown operation {op!r}")
 
 
 def replace_disks(state: EngineState, disks: list[UnitDisk]) -> int:
@@ -607,7 +615,7 @@ def step(
     cfg = state.config
     state.t += 1
     apply_event(state, op, p)
-    opt_sol = solve(state.points, cfg.m, cfg.solver, cfg.node_budget, index=state.index)
+    opt_sol = solve(state.index, cfg.m, cfg.solver, cfg.node_budget)
     if within_ratio(opt_sol.value, state.alg_value, slack):
         churn, branch = 0, Branch.NO_CHANGE
     else:

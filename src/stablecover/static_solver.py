@@ -16,22 +16,22 @@ than 5M.  Both phases are explicit-stack loops whose depth is bounded by
 ``m``, never by the number of masks.  The mask-based search core is shared with the line-hitting
 solver in :mod:`stablecover.adversary`.
 
-Candidates and masks come from one of two paths.  Called with only the
-points, ``solve`` builds them from scratch (:func:`candidate_disks`,
+Candidates and masks come from one of two paths.  Called with the points,
+``solve`` builds them from scratch (:func:`candidate_disks`,
 :func:`coverage_masks`).  The engines instead keep a :class:`CandidateIndex`
-and pass it in: it adds and removes one point's candidates per event, and
-gives the same candidates in the same order with the same masks up to a
-relabelling of the bits, so the solve returns the same result.  The replay
-harness keeps calling the from-scratch path, which makes its re-solve an
-independent check on the index.
+and pass it in their place: it adds and removes one point's candidates per
+event, and gives the same candidates in the same order with the same masks
+up to a relabelling of the bits, so the solve returns the same result.
+The replay harness keeps calling the from-scratch path, which makes its
+re-solve an independent check on the index.
 
 The from-scratch path finds neighbours through a grid of 2x2 buckets built
 per call: :func:`candidate_disks` scans each occupied bucket against itself
 and its four forward neighbours for pairs at distance <= 2, and
 :func:`coverage_masks` builds one neighbour list per 2x2 bucket (its 3x3
 block) and shares it among the centers in that bucket.  Neither reads the
-index; the two paths share only the bucket definitions and the 1x1 rule of
-:func:`_covered_bits`.
+index; the two paths share only the 2x2 buckets and :func:`_covered_bits`,
+so a mask bit means what ``covers`` says on either path.
 """
 
 from __future__ import annotations
@@ -122,11 +122,6 @@ def _bucket(p: Point) -> tuple[int, int]:
     return (math.floor(p.x / 2.0), math.floor(p.y / 2.0))
 
 
-def _cell(p: Point) -> tuple[int, int]:
-    """The 1x1 bucket ``coverage_masks`` files a point or center under."""
-    return (math.floor(p.x), math.floor(p.y))
-
-
 def candidate_disks(points: list[Point] | set[Point]) -> list[UnitDisk]:
     """Candidate centers that realize every achievable single-disk coverage set.
 
@@ -206,15 +201,15 @@ def _circles_through(p: Point, q: Point) -> list[Point]:
 def coverage_masks(points: list[Point], disks: list[UnitDisk]) -> list[int]:
     """Bitmask over ``points`` of what each disk covers.
 
-    Each point is filed once in its 2x2 bucket, with its 1x1 bucket and its
-    bit.  A disk's neighbour list is the points in the 3x3 2x2 buckets around
-    its center's, built once per bucket and shared by every center in it; of
-    those, :func:`_covered_bits` keeps what the 1x1 rule and ``covers`` accept.
+    Each point is filed once in its 2x2 bucket, with its bit.  A disk's
+    neighbour list is the points in the 3x3 2x2 buckets around its center's,
+    built once per bucket and shared by every center in it; of those,
+    :func:`_covered_bits` keeps what ``covers`` accepts.
     """
     grid: dict[int, dict[int, list]] = {}  # column -> row -> entries
     for i, p in enumerate(points):
         bx, by = _bucket(p)
-        grid.setdefault(bx, {}).setdefault(by, []).append((p, 1 << i, _cell(p)))
+        grid.setdefault(bx, {}).setdefault(by, []).append((p, 1 << i))
     near: dict[tuple[int, int], list[tuple]] = {}
     masks = []
     for d in disks:
@@ -235,24 +230,21 @@ def coverage_masks(points: list[Point], disks: list[UnitDisk]) -> list[int]:
 
 
 def _covered_bits(center: Point, near: list[tuple]) -> int:
-    """The OR of the bits of the ``(point, bit, 1x1 bucket)`` entries in
-    ``near`` that a disk at ``center`` gets a mask bit for.
+    """The OR of the bits of the ``(point, bit)`` entries in ``near`` whose
+    point a disk at ``center`` covers, by ``covers`` inlined with the same
+    operations.
 
-    The one definition of the 1x1 rule: a point counts only when its 1x1
-    bucket neighbours the center's and ``covers`` holds (inlined here with
-    the same operations).  The rule drops a few half-ulp points that
-    ``covers`` alone accepts; see :func:`stablecover.geometry.coverage_value`.
-    The 2x2 buckets around the center's hold every 1x1 bucket around it.
+    Given the points in the 3x3 2x2 buckets around the center's, this is
+    every point ``covers`` accepts; see
+    :func:`stablecover.geometry.coverage_value` for why that window suffices.
     """
     x, y = center
-    cx, cy = math.floor(x), math.floor(y)  # _cell(center), inlined
     mask = 0
-    for (qx, qy), bit, (kx, ky) in near:
-        if -1 <= kx - cx <= 1 and -1 <= ky - cy <= 1:
-            dx = qx - x
-            dy = qy - y
-            if dx * dx + dy * dy <= 1.0:
-                mask |= bit
+    for (qx, qy), bit in near:
+        dx = qx - x
+        dy = qy - y
+        if dx * dx + dy * dy <= 1.0:
+            mask |= bit
     return mask
 
 
@@ -272,15 +264,15 @@ class CandidateIndex:
     oracle reads masks only through equality, unions and popcounts, so a
     solve over the index returns what one from scratch returns.
 
-    Points sit in 2x2 buckets (the pair search of ``candidate_disks``) and
-    centers in 1x1 buckets (the covering test of ``coverage_masks``); both
-    bucket conditions are kept exactly, so the two agree to the bit.
+    Points and centers sit in 2x2 buckets, as in ``candidate_disks`` and
+    ``coverage_masks``; the 3x3 buckets around a point hold every center
+    whose disk can cover it, so the two agree to the bit.
     """
 
     def __init__(self, points: Iterable[Point] = ()) -> None:
         self._slot: dict[Point, int] = {}
         self._free: list[int] = []  # min-heap of released slots
-        # 2x2 bucket -> (point, its slot bit, its 1x1 bucket) for each point.
+        # 2x2 bucket -> (point, its slot bit) for each point.
         self._point_buckets: dict[tuple[int, int], list[tuple]] = defaultdict(list)
         self._center_buckets: dict[tuple[int, int], list[UnitDisk]] = defaultdict(list)
         self._mask: dict[UnitDisk, int] = {}
@@ -294,10 +286,6 @@ class CandidateIndex:
 
     def __contains__(self, p: Point) -> bool:
         return p in self._slot
-
-    def holds(self, points: Iterable[Point]) -> bool:
-        """Whether ``points`` (duplicates allowed) is exactly the indexed set."""
-        return points is self.points or self.points == set(points)
 
     def candidates(self) -> tuple[list[UnitDisk], list[int]]:
         """The candidate disks in ``candidate_disks`` order and their masks."""
@@ -314,7 +302,7 @@ class CandidateIndex:
             if covers(d, p):
                 self._mask[d] |= bit
         self._slot[p] = slot
-        self._point_buckets[_bucket(p)].append((p, bit, _cell(p)))
+        self._point_buckets[_bucket(p)].append((p, bit))
         self._add_source((0, p), p)
         for key, a, b in self._pairs_with(p):
             for k, center in enumerate(_circles_through(a, b)):
@@ -324,7 +312,7 @@ class CandidateIndex:
         slot = self._slot.pop(p)
         heapq.heappush(self._free, slot)
         bit = 1 << slot
-        _discard(self._point_buckets, _bucket(p), (p, bit, _cell(p)))
+        _discard(self._point_buckets, _bucket(p), (p, bit))
         for d in self._centers_near(p):
             self._mask[d] &= ~bit
         self._drop_source((0, p))
@@ -333,11 +321,12 @@ class CandidateIndex:
                 self._drop_source(key + (k,))
 
     def _centers_near(self, p: Point) -> Iterator[UnitDisk]:
-        """Stored centers whose 1x1 bucket neighbours ``p``'s."""
-        cx, cy = _cell(p)
-        for bx in (cx - 1, cx, cx + 1):
-            for by in (cy - 1, cy, cy + 1):
-                yield from self._center_buckets.get((bx, by), ())
+        """Stored centers in the 3x3 2x2 buckets around ``p``'s: every
+        center whose disk can cover ``p``."""
+        bx, by = _bucket(p)
+        for nx in (bx - 1, bx, bx + 1):
+            for ny in (by - 1, by, by + 1):
+                yield from self._center_buckets.get((nx, ny), ())
 
     def _pairs_with(self, p: Point) -> Iterator[tuple[Source, Point, Point]]:
         """``((1, a, b), a, b)`` for each live ``q`` that ``candidate_disks``
@@ -345,7 +334,7 @@ class CandidateIndex:
         bx, by = _bucket(p)
         for nx in (bx - 1, bx, bx + 1):
             for ny in (by - 1, by, by + 1):
-                for q, _, _ in self._point_buckets.get((nx, ny), ()):
+                for q, _ in self._point_buckets.get((nx, ny), ()):
                     if q == p:
                         continue
                     a, b = (p, q) if p < q else (q, p)
@@ -358,7 +347,7 @@ class CandidateIndex:
         if sources is None:
             self._sources[d] = {key}
             self._mask[d] = self._mask_of(d)
-            self._center_buckets[_cell(center)].append(d)
+            self._center_buckets[_bucket(center)].append(d)
         else:
             sources.add(key)
         self._center_of[key] = d
@@ -371,7 +360,7 @@ class CandidateIndex:
         sources.remove(key)
         if not sources:
             del self._sources[d], self._mask[d]
-            _discard(self._center_buckets, _cell(d.center), d)
+            _discard(self._center_buckets, _bucket(d.center), d)
 
     def _mask_of(self, d: UnitDisk) -> int:
         """The slot mask of the live points ``coverage_masks`` would give ``d``."""
@@ -544,29 +533,26 @@ def _greedy_masks(masks: list[int], m: int) -> tuple[int, list[int]]:
 
 
 def solve(
-    points: Iterable[Point],
+    points_or_index: Iterable[Point] | CandidateIndex,
     m: int,
     kind: SolverKind = SolverKind.EXACT,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    index: CandidateIndex | None = None,
 ) -> Solution:
-    """Best coverage of ``points`` by ``m`` unit disks under the given oracle.
+    """Best coverage of the points by ``m`` unit disks under the given oracle.
 
     The value is computed here; the disks and assignment when first read.
-    Candidates and masks come from ``index`` when one is given, which must
-    hold exactly ``points``; otherwise they are built from scratch.
+    Given a :class:`CandidateIndex`, the solve reads its points, candidates
+    and masks from it; given points, it builds them from scratch.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    if index is None:
-        pts = sorted(set(points))
+    if isinstance(points_or_index, CandidateIndex):
+        pts = list(points_or_index.points)
+        cands, masks = points_or_index.candidates()
+    else:
+        pts = sorted(set(points_or_index))
         cands = candidate_disks(pts)
         masks = coverage_masks(pts, cands)
-    else:
-        if not index.holds(points):
-            raise SolverInvariantError("the candidate index does not hold the given points")
-        pts = list(index.points)
-        cands, masks = index.candidates()
     if kind is SolverKind.EXACT:
         value, nodes = _best_value(masks, m, node_budget)
 

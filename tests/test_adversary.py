@@ -32,6 +32,7 @@ from stablecover.adversary.lines import (
 from stablecover.adversary.streams import disk_churn
 from stablecover.geometry import Point
 from stablecover.harness_cli import RunConfig, gen_lines, parse_stream, run_lines, run_points
+from stablecover.sas_engine import StreamError
 from stablecover.static_solver import SolverBudgetError, SolverKind, solve
 
 
@@ -119,6 +120,25 @@ def test_exact_maintainer_event_out_of_budget_changes_nothing(op, monkeypatch):
     assert set(mt.index.points) == points and mt.solution() == disks
     mt.apply(op, p)
     assert mt.solution() == solve(after, 2).disks
+
+
+@pytest.mark.parametrize(
+    "op, p",
+    [("frobnicate", Point(0.0, 0.0)), ("delete", Point(3.0, 3.0)), ("insert", Point(1.0, 0.5))],
+)
+def test_exact_maintainer_rejects_a_bad_event_and_changes_nothing(op, p):
+    """An unknown operation, a delete of an absent point and a duplicate
+    insert raise ``StreamError``, as in the SAS engine, and leave the index
+    and the disks as they were."""
+    points = {Point(0.0, 0.0), Point(1.0, 0.5), Point(4.0, 0.0)}
+    mt = ExactMaintainer(2)
+    for q in sorted(points):
+        mt.apply("insert", q)
+    disks, candidates = mt.solution(), mt.index.candidates()
+    with pytest.raises(StreamError):
+        mt.apply(op, p)
+    assert set(mt.index.points) == points
+    assert mt.index.candidates() == candidates and mt.solution() == disks
 
 
 def test_canonical_optima_under_both_triggers_differ():

@@ -12,7 +12,6 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +23,6 @@ from stablecover.static_solver import (
     DEFAULT_NODE_BUDGET,
     CandidateIndex,
     SolverBudgetError,
-    SolverInvariantError,
     SolverKind,
     _best_value,
     _greedy_masks,
@@ -182,12 +180,16 @@ def test_candidate_index_matches_scratch(events, m):
     assert not index._point_buckets and not index._center_buckets
 
 
-def test_solve_rejects_an_index_of_other_points():
-    points = {Point(0.0, 0.0), Point(1.0, 0.5)}
-    index = CandidateIndex(points)
-    for kind in SolverKind:
-        assert solve(set(points), 2, kind, index=index).value == 2
-        with pytest.raises(SolverInvariantError):
-            solve(points | {Point(3.0, 3.0)}, 2, kind, index=index)
-        with pytest.raises(SolverInvariantError):
-            solve([Point(0.0, 0.0)], 2, kind, index=index)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(events=index_streams(), m=st.integers(1, 4), kind=st.sampled_from(list(SolverKind)))
+@example(events=SHARED_CENTER[:5], m=2, kind=SolverKind.EXACT)
+def test_solve_of_an_index_matches_solve_of_its_points(events, m, kind):
+    index = CandidateIndex()
+    for op, p in events:
+        if op == "insert":
+            index.add(p)
+        else:
+            index.remove(p)
+        by_index, by_points = solve(index, m, kind), solve(set(index.points), m, kind)
+        assert by_index.value == by_points.value
+        assert by_index.disks == by_points.disks

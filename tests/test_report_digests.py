@@ -3,20 +3,26 @@
 A change that must keep reports byte-identical keeps these digests.  The
 streams cover both SAS tolerances the tests use, the scaled pipeline up to
 ``GroupSwap`` and through all four scaled-mode fallbacks, a sparse 600-event
-greedy stream at the benchmark's scaled constants, the 2-stable
-baseline, the exact maintainer (random and lower-bound streams) and the
-hitting maintainers on line streams (greedy at m 6, 9 and 12, exact at m 6
-and 9).  The generated line text at m 9, 12, 30 and 60 has digests of its
-own.
+greedy stream at the benchmark's scaled constants, the 2-stable baseline,
+the exact maintainer (random, half-unit lattice and lower-bound streams) and
+the hitting maintainers on line streams (greedy at m 6, 9 and 12, exact at
+m 6 and 9).  The generated line text at m 9, 12, 30 and 60 has digests of
+its own.  The CI workflow's ``python -O`` replays must check the digests
+here.
 """
 
 import functools
 import hashlib
+import random
+import re
+from pathlib import Path
 
 import pytest
 
+from stablecover.geometry import Point
 from stablecover.harness_cli import (
     RunConfig,
+    format_point_event,
     gen_lines,
     gen_lower_bound,
     gen_random,
@@ -35,6 +41,24 @@ SCALED = dict(
 FALLBACKS = dict(SCALED, block_max=1, grid_shifts=4, grid_edge=8)
 
 RANDOM = gen_random(80, 8.0, seed=11, delete_prob=0.25)
+
+
+def half_lattice(seed):
+    """10 to 30 inserts and deletes of half-unit lattice points in a box of
+    side 2 to 4: pairs exactly 2 apart put circle centers half an ulp off."""
+    rng = random.Random(seed)
+    side = rng.choice((2, 3, 4))
+    live, events = [], []
+    for _ in range(rng.randint(10, 30)):
+        if live and rng.random() < 0.3:
+            events.append(("delete", live.pop(rng.randrange(len(live)))))
+            continue
+        p = Point(rng.randint(0, 2 * side) / 2, rng.randint(0, 2 * side) / 2)
+        if p not in live:
+            live.append(p)
+            events.append(("insert", p))
+    return [format_point_event(op, p) for op, p in events]
+
 
 CASES = {
     "sas-eps-0.25": (
@@ -70,6 +94,19 @@ CASES = {
         RunConfig(engine="exact_maintainer", m=3),
         gen_random(40, 8.0, seed=5, delete_prob=0.2),
         "154693436816974010544eeff95626ccebf1d5c1754a6faf2e120c24885a74ef",
+    ),
+    # Masks hold every point ``covers`` accepts.  At t=8 the candidate
+    # centered at (0.9999999999999999, 0.5000000000000001) covers all seven
+    # live points, and it precedes the disk at (1, 0.5), which covers them
+    # too.  Its mask used to leave out (2, 0.5), one unit plus half an ulp
+    # away, so (1, 0.5) was picked at t=8; now the earlier candidate is, and
+    # at t=9, no longer a candidate, it gives way to (1, 0.5).  One row
+    # changed, from the digest
+    # 93cf62c9090106f7954cec2a29cc1f6c4383f3feb3ef4a9988b635507ca955b9:
+    #   9,delete,6,6,1.000000,0,Recompute -> 9,delete,6,6,1.000000,2,Recompute
+    "exact-maintainer-half-lattice": (
+        RunConfig(engine="exact_maintainer", m=1), half_lattice(90),
+        "6c9e9209b67afb1c9661f0a806b1a0e7404c8256f93e133f349a88099bebd993",
     ),
     "exact-maintainer-lower-bound": (
         RunConfig(engine="exact_maintainer", m=4), gen_lower_bound(4),
@@ -128,3 +165,35 @@ def test_scaled_stream_reaches_group_swap():
 def test_gen_lines_digest_unchanged(m):
     text = "\n".join(gen_lines(m, seed=1)) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == GEN_LINES[m]
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+# The workflow steps that replay a pinned stream under ``python -O``.
+CI_REPLAYS = {
+    "sas-greedy-fallbacks": "Scaled-mode fallback stream under -O",
+    "sas-greedy-sparse": "Sparse greedy stream under -O",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CI_REPLAYS))
+def test_ci_replay_matches_its_case(name):
+    """The step generates the case's stream, replays it with the case's
+    settings and checks the case's digest, so re-recording a digest here
+    cannot leave CI checking a stale one."""
+    step = f"- name: {CI_REPLAYS[name]}\n"
+    body = WORKFLOW.read_text().split(step, 1)[1].split("- name: ", 1)[0]
+    config, rows, digest = CASES[name]
+    scaled = re.search(r"SCALED: (\S+)", body).group(1)
+    assert dict(item.split("=") for item in scaled.split(",")) == {
+        key: str(value) for key, value in config.scaled.items()
+    }
+    n, bbox, seed, delete_prob = re.search(
+        r"gen random --n (\d+) --bbox (\S+) --seed (\d+) --delete-prob (\S+)", body
+    ).groups()
+    assert gen_random(int(n), float(bbox), int(seed), float(delete_prob)) == rows
+    assert (
+        f"--engine {config.engine} --m {config.m} --solver {config.solver.value}"
+        f" --epsilon {config.epsilon} --scaled $SCALED"
+    ) in body
+    assert re.search(r'echo "([0-9a-f]{64})  \$report" \| sha256sum -c', body).group(1) == digest

@@ -2,21 +2,24 @@
 
 ``candidate_disks``, ``coverage_masks`` and ``coverage_value`` find
 neighbours through 2x2-bucket neighbour lists.  The ``reference_*``
-functions below are the direct versions they replaced, kept verbatim: a
-9-bucket probe per point for the pairs, a 9-cell probe and a ``covers`` call
-per point and center for the masks, and ``covers`` for every point and disk
-in the recount.  Every output must be equal: the same disks in the same
-order, the same masks bit for bit and the same counts.
+functions below are direct versions: a 9-bucket probe per point for the
+pairs, and a ``covers`` call per point and disk for the masks and the
+recount.  Every output must be equal: the same disks in the same order, the
+same masks bit for bit and the same counts, and the recount must be the
+popcount of the masks' union.
 
 The sets cover uniform floats in boxes of side 2 to 60, a half-unit lattice,
 pairs exactly 2 apart, negative and large coordinates, empty and one-point
 sets, and points on either side of a bucket edge (``1.9999999999999998``
 next to ``4.0`` is a pair by distance, since the difference rounds to 2, but
-not by bucket).  The half-ulp case pins both rules: ``coverage_value``
-counts what ``covers`` accepts, and the masks keep the 1x1 bucket rule.
+not by bucket).  In the half-ulp case a center covers points one unit plus
+half an ulp away, as ``covers`` says, and the masks and the candidate index
+hold them too.
 """
 
+import functools
 import math
+import operator
 import random
 from collections import defaultdict
 
@@ -34,11 +37,6 @@ from stablecover.static_solver import (
 
 def _bucket(p: Point) -> tuple[int, int]:
     return (math.floor(p.x / 2.0), math.floor(p.y / 2.0))
-
-
-def _cell(p: Point) -> tuple[int, int]:
-    """The 1x1 bucket ``coverage_masks`` files a point or center under."""
-    return (math.floor(p.x), math.floor(p.y))
 
 
 def reference_candidate_disks(points: list[Point] | set[Point]) -> list[UnitDisk]:
@@ -86,20 +84,7 @@ def reference_candidate_disks(points: list[Point] | set[Point]) -> list[UnitDisk
 
 def reference_coverage_masks(points: list[Point], disks: list[UnitDisk]) -> list[int]:
     """Bitmask over ``points`` of what each disk covers."""
-    buckets: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for i, p in enumerate(points):
-        buckets[_cell(p)].append(i)
-    masks = []
-    for d in disks:
-        cx, cy = _cell(d.center)
-        m = 0
-        for bx in range(cx - 1, cx + 2):
-            for by in range(cy - 1, cy + 2):
-                for i in buckets.get((bx, by), ()):
-                    if covers(d, points[i]):
-                        m |= 1 << i
-        masks.append(m)
-    return masks
+    return [sum(1 << i for i, p in enumerate(points) if covers(d, p)) for d in disks]
 
 
 def reference_coverage_value(points, disks: list[UnitDisk]) -> int:
@@ -125,7 +110,8 @@ def _two_apart(rng, n, x0=0.0, y0=0.0):
 
 
 def _edges(rng, n):
-    """Points on and one ulp either side of the 2x2 and 1x1 bucket edges."""
+    """Points on and one ulp either side of integers, the 2x2 bucket edges
+    among them."""
     spots = []
     for k in range(-3, 4):
         edge = float(k)
@@ -189,6 +175,9 @@ def test_coverage_masks_match_reference(name):
     shuffled = SETS[name] + SETS[name][:3]
     rng.shuffle(shuffled)
     assert coverage_masks(shuffled, disks) == reference_coverage_masks(shuffled, disks)
+    # The recount is the popcount of the masks' union.
+    union = functools.reduce(operator.or_, coverage_masks(pts, disks), 0)
+    assert coverage_value(pts, disks) == union.bit_count()
 
 
 @pytest.mark.parametrize("name", sorted(SETS))
@@ -205,6 +194,33 @@ def test_coverage_value_matches_reference(name):
     assert coverage_value(pts, []) == 0
 
 
+def _relabelled(index: CandidateIndex) -> tuple[list[UnitDisk], list[int]]:
+    """The index's candidates, with slot bits moved to sorted-index bits."""
+    order = {p: i for i, p in enumerate(sorted(index.points))}
+    disks, masks = index.candidates()
+    return disks, [
+        sum(1 << order[p] for p, slot in index._slot.items() if mk >> slot & 1) for mk in masks
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_candidate_index_matches_reference(name):
+    """Built in any order and thinned by deletes, the index holds the
+    reference candidates with the reference masks."""
+    rng = random.Random(name)
+    pts = sorted(set(SETS[name]))
+    shuffled = rng.sample(pts, len(pts))
+    index = CandidateIndex(shuffled)
+    for gone in (shuffled[::3], shuffled):
+        live = sorted(index.points)
+        cands = reference_candidate_disks(live)
+        assert _relabelled(index) == (cands, reference_coverage_masks(live, cands))
+        for p in gone:
+            if p in index:
+                index.remove(p)
+    assert index.candidates() == ([], [])
+
+
 def test_bucket_edge_pair_is_no_candidate_pair():
     """The points are 2 apart by the rounded distance, but two 2x2 buckets
     apart, so neither path makes a circle through them."""
@@ -213,20 +229,20 @@ def test_bucket_edge_pair_is_no_candidate_pair():
     assert candidate_disks([a, b]) == [UnitDisk(a), UnitDisk(b)]
 
 
-def test_half_ulp_center_by_covers_and_by_the_1x1_rule():
+def test_half_ulp_center_covers_all_five_points():
     """The center is one unit plus half an ulp from (2, 1) and (1, 2): the
-    difference rounds to 1, so ``covers`` accepts all five points, but their
-    1x1 buckets are two away from the center's (0, 0)."""
+    difference rounds to 1, so ``covers`` accepts all five points, and so do
+    the recount, the masks and the candidate index."""
     disk = UnitDisk(HALF_ULP_CENTER)
     assert all(covers(disk, p) for p in HALF_ULP_POINTS)
     assert coverage_value(HALF_ULP_POINTS, [disk]) == 5
     assert coverage_value(set(HALF_ULP_POINTS), [disk]) == 5
 
     pts = sorted(HALF_ULP_POINTS)  # (0,1) (1,0) (1,1) (1,2) (2,1)
-    three = 0b00111
-    assert coverage_masks(pts, [disk]) == [three] == reference_coverage_masks(pts, [disk])
+    five = 0b11111
+    assert coverage_masks(pts, [disk]) == [five] == reference_coverage_masks(pts, [disk])
 
     index = CandidateIndex(HALF_ULP_POINTS)
     slot_mask = index._mask_of(disk)
     relabelled = sum(1 << i for i, p in enumerate(pts) if slot_mask >> index._slot[p] & 1)
-    assert relabelled == three
+    assert relabelled == five
