@@ -79,31 +79,85 @@ def assign_points(points: Iterable[Point], disks: list[UnitDisk]) -> Assignment:
 def coverage_value(points: Iterable[Point], disks: list[UnitDisk]) -> int:
     """Number of points covered by the union of the disks, by ``covers``.
 
-    Each point gets a bit and is filed in its 2x2 bucket ``(floor(x/2),
-    floor(y/2))``; each disk ORs the bits of the points in the 3x3 buckets
-    around its center's that ``covers`` accepts (inlined, same operations),
-    and the union's popcount is the count.  That window holds every point
-    ``covers`` can accept: ``covers`` implies ``|fl(dx)| <= 1``, and rounding
-    is monotone, so the true offset is below 2 and the buckets of the two x
-    coordinates differ by at most 1 (likewise for y).  The masks of
-    ``static_solver`` use the same window and test.
+    Each point gets a bit in a :func:`bit_grid`; each disk ORs the
+    :func:`covered_bits` of its :func:`near` window, and the union's popcount
+    is the count.
     """
-    buckets: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
-    for i, p in enumerate(points):
-        key = (math.floor(p.x / 2.0), math.floor(p.y / 2.0))
-        buckets.setdefault(key, []).append((p.x, p.y, 1 << i))
+    grid = bit_grid(points)
     covered = 0
     for d in disks:
-        x, y = d.center
-        bx, by = math.floor(x / 2.0), math.floor(y / 2.0)
-        for nx in (bx - 1, bx, bx + 1):
-            for ny in (by - 1, by, by + 1):
-                for px, py, bit in buckets.get((nx, ny), ()):
-                    dx = px - x
-                    dy = py - y
-                    if dx * dx + dy * dy <= 1.0:
-                        covered |= bit
+        covered |= covered_bits(d.center, near(grid, bucket(d.center)))
     return covered.bit_count()
+
+
+# The neighbour grid of the point side (a fixed-radius near-neighbour cell
+# grid): entries are filed by the 2x2 bucket of a point, column -> row ->
+# entries, so probes are int-keyed.  The 3x3 buckets around a center's hold
+# every point ``covers`` can accept: ``covers`` implies ``|fl(dx)| <= 1``,
+# and rounding is monotone, so the true offset is below 2 and the buckets of
+# the two x coordinates differ by at most 1 (likewise for y).
+Grid = dict[int, dict[int, list]]
+
+
+def bucket(p: Point) -> tuple[int, int]:
+    """The 2x2 bucket ``(floor(x/2), floor(y/2))`` that files ``p``."""
+    return (math.floor(p.x / 2.0), math.floor(p.y / 2.0))
+
+
+def bit_grid(points: Iterable[Point]) -> Grid:
+    """The grid of ``(point, 1 << i)`` for the ``i``-th of ``points``."""
+    grid: Grid = {}
+    for i, p in enumerate(points):
+        # ``bucket`` inlined: one call per filed point is measurably slower.
+        col = grid.setdefault(math.floor(p.x / 2.0), {})
+        col.setdefault(math.floor(p.y / 2.0), []).append((p, 1 << i))
+    return grid
+
+
+def grid_add(grid: Grid, p: Point, entry) -> None:
+    """File ``entry`` in ``p``'s bucket."""
+    bx, by = bucket(p)
+    grid.setdefault(bx, {}).setdefault(by, []).append(entry)
+
+
+def grid_remove(grid: Grid, p: Point, entry) -> None:
+    """Take ``entry`` out of ``p``'s bucket; drop the bucket once it is
+    empty, and its column too."""
+    bx, by = bucket(p)
+    col = grid[bx]
+    entries = col[by]
+    entries.remove(entry)
+    if not entries:
+        del col[by]
+        if not col:
+            del grid[bx]
+
+
+def near(grid: Grid, key: tuple[int, int]) -> list:
+    """The entries of the 3x3 buckets around bucket ``key``."""
+    bx, by = key
+    out: list = []
+    for nx in (bx - 1, bx, bx + 1):
+        col = grid.get(nx)
+        if col is not None:
+            for ny in (by - 1, by, by + 1):
+                entries = col.get(ny)
+                if entries:
+                    out += entries
+    return out
+
+
+def covered_bits(center: Point, entries: list) -> int:
+    """The OR of the bits of the ``(point, bit)`` entries whose point a disk
+    at ``center`` covers, by ``covers`` inlined with the same operations."""
+    x, y = center
+    mask = 0
+    for (qx, qy), bit in entries:
+        dx = qx - x
+        dy = qy - y
+        if dx * dx + dy * dy <= 1.0:
+            mask |= bit
+    return mask
 
 
 def disk_churn(before: list[UnitDisk], after: list[UnitDisk]) -> int:

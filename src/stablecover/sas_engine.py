@@ -35,7 +35,9 @@ from .geometry import (
     is_boundary,
     select_grid,
 )
-from .static_solver import CandidateIndex, Solution, SolverKind, pad_disks, solve
+from .static_solver import (
+    DEFAULT_NODE_BUDGET, CandidateIndex, Solution, SolverKind, pad_disks, solve,
+)
 
 
 class Branch(Enum):
@@ -82,7 +84,7 @@ class EngineConfig:
     extend: int | None = None
     grid_shifts: int | None = None
     grid_edge: float | None = None
-    node_budget: int = 5_000_000
+    node_budget: int = DEFAULT_NODE_BUDGET
     # epsilon as the exact decimal it was written as, for the ratio test.
     epsilon_exact: Fraction = field(init=False, repr=False)
 
@@ -149,21 +151,12 @@ class EngineState:
     assigning ``points`` rebuilds the index.
     """
 
-    def __init__(
-        self,
-        config: EngineConfig,
-        t: int = 0,
-        points: Iterable[Point] = (),
-        disks: list[UnitDisk] | None = None,
-        assignment: Assignment | None = None,
-    ) -> None:
+    def __init__(self, config: EngineConfig) -> None:
         self.config = config
-        self.t = t
-        self.points = points
-        self.disks = disks if disks else pad_disks(config.m)
-        self.assignment = {} if assignment is None else assignment
-        if len(self.disks) != config.m:
-            raise ValueError(f"need exactly m={config.m} disks")
+        self.t = 0
+        self.index = CandidateIndex()
+        self.disks = pad_disks(config.m)
+        self.assignment: Assignment = {}
 
     @property
     def points(self) -> KeysView[Point]:

@@ -25,13 +25,13 @@ up to a relabelling of the bits, so the solve returns the same result.
 The replay harness keeps calling the from-scratch path, which makes its
 re-solve an independent check on the index.
 
-The from-scratch path finds neighbours through a grid of 2x2 buckets built
-per call: :func:`candidate_disks` scans each occupied bucket against itself
-and its four forward neighbours for pairs at distance <= 2, and
-:func:`coverage_masks` builds one neighbour list per 2x2 bucket (its 3x3
-block) and shares it among the centers in that bucket.  Neither reads the
-index; the two paths share only the 2x2 buckets and :func:`_covered_bits`,
-so a mask bit means what ``covers`` says on either path.
+Both paths find neighbours through the grid of 2x2 buckets in
+:mod:`stablecover.geometry`: the from-scratch path builds one per call, the
+index keeps one for its points and one for its centers.  Every window is
+``geometry.near`` and every mask bit comes from ``geometry.covered_bits``,
+so a bit means what ``covers`` says on either path.  The one other probe,
+the pair scan of :func:`candidate_disks`, is a forward half-window over the
+same buckets.  The from-scratch path never reads the index.
 """
 
 from __future__ import annotations
@@ -39,11 +39,13 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from collections import defaultdict
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
-from .geometry import Assignment, Point, UnitDisk, assign_points, covers
+from .geometry import (
+    Assignment, Grid, Point, UnitDisk, assign_points, bit_grid, bucket, covered_bits, covers,
+    grid_add, grid_remove, near,
+)
 
 
 class SolverKind(Enum):
@@ -118,10 +120,6 @@ def pad_disks(count: int, min_y: float = -990.0) -> list[UnitDisk]:
     return [UnitDisk(Point(0.0, min_y - 10.0 - 3.0 * i)) for i in range(count)]
 
 
-def _bucket(p: Point) -> tuple[int, int]:
-    return (math.floor(p.x / 2.0), math.floor(p.y / 2.0))
-
-
 def candidate_disks(points: list[Point] | set[Point]) -> list[UnitDisk]:
     """Candidate centers that realize every achievable single-disk coverage set.
 
@@ -137,10 +135,10 @@ def candidate_disks(points: list[Point] | set[Point]) -> list[UnitDisk]:
     out = [UnitDisk(p) for p in pts]
     seen = set(pts)
 
-    # 2x2 bucket column -> row -> (index, x, y): neighbour probes are int-keyed.
-    grid: dict[int, dict[int, list]] = {}
+    # The geometry grid's layout, with (index, x, y) entries.
+    grid: Grid = {}
     for i, p in enumerate(pts):
-        bx, by = _bucket(p)
+        bx, by = bucket(p)
         grid.setdefault(bx, {}).setdefault(by, []).append((i, p.x, p.y))
     pairs = []
     for bx, col in grid.items():
@@ -201,51 +199,20 @@ def _circles_through(p: Point, q: Point) -> list[Point]:
 def coverage_masks(points: list[Point], disks: list[UnitDisk]) -> list[int]:
     """Bitmask over ``points`` of what each disk covers.
 
-    Each point is filed once in its 2x2 bucket, with its bit.  A disk's
-    neighbour list is the points in the 3x3 2x2 buckets around its center's,
-    built once per bucket and shared by every center in it; of those,
-    :func:`_covered_bits` keeps what ``covers`` accepts.
+    The points go into one :func:`~stablecover.geometry.bit_grid`; a disk's
+    mask is the ``covered_bits`` of its ``near`` window, which is built once
+    per bucket and shared by every center in it.
     """
-    grid: dict[int, dict[int, list]] = {}  # column -> row -> entries
-    for i, p in enumerate(points):
-        bx, by = _bucket(p)
-        grid.setdefault(bx, {}).setdefault(by, []).append((p, 1 << i))
-    near: dict[tuple[int, int], list[tuple]] = {}
+    grid = bit_grid(points)
+    windows: dict[tuple[int, int], list] = {}
     masks = []
     for d in disks:
-        key = _bucket(d.center)
-        around = near.get(key)
-        if around is None:
-            bx, by = key
-            around = near[key] = []
-            for nx in (bx - 1, bx, bx + 1):
-                col = grid.get(nx)
-                if col is not None:
-                    for ny in (by - 1, by, by + 1):
-                        entries = col.get(ny)
-                        if entries:
-                            around += entries
-        masks.append(_covered_bits(d.center, around))
+        key = bucket(d.center)
+        window = windows.get(key)
+        if window is None:
+            window = windows[key] = near(grid, key)
+        masks.append(covered_bits(d.center, window))
     return masks
-
-
-def _covered_bits(center: Point, near: list[tuple]) -> int:
-    """The OR of the bits of the ``(point, bit)`` entries in ``near`` whose
-    point a disk at ``center`` covers, by ``covers`` inlined with the same
-    operations.
-
-    Given the points in the 3x3 2x2 buckets around the center's, this is
-    every point ``covers`` accepts; see
-    :func:`stablecover.geometry.coverage_value` for why that window suffices.
-    """
-    x, y = center
-    mask = 0
-    for (qx, qy), bit in near:
-        dx = qx - x
-        dy = qy - y
-        if dx * dx + dy * dy <= 1.0:
-            mask |= bit
-    return mask
 
 
 # A candidate center's source: a point's own disk, ``(0, p)``, or the
@@ -264,17 +231,17 @@ class CandidateIndex:
     oracle reads masks only through equality, unions and popcounts, so a
     solve over the index returns what one from scratch returns.
 
-    Points and centers sit in 2x2 buckets, as in ``candidate_disks`` and
-    ``coverage_masks``; the 3x3 buckets around a point hold every center
-    whose disk can cover it, so the two agree to the bit.
+    Points (with their slot bits) and centers sit in two geometry grids;
+    a point's ``near`` window holds every center whose disk can cover it,
+    and a center's mask is the ``covered_bits`` of its window, so the index
+    and ``coverage_masks`` agree to the bit.
     """
 
     def __init__(self, points: Iterable[Point] = ()) -> None:
         self._slot: dict[Point, int] = {}
         self._free: list[int] = []  # min-heap of released slots
-        # 2x2 bucket -> (point, its slot bit) for each point.
-        self._point_buckets: dict[tuple[int, int], list[tuple]] = defaultdict(list)
-        self._center_buckets: dict[tuple[int, int], list[UnitDisk]] = defaultdict(list)
+        self._point_buckets: Grid = {}  # (point, its slot bit) entries
+        self._center_buckets: Grid = {}  # UnitDisk entries
         self._mask: dict[UnitDisk, int] = {}
         self._sources: dict[UnitDisk, set[Source]] = {}
         self._center_of: dict[Source, UnitDisk] = {}
@@ -298,11 +265,11 @@ class CandidateIndex:
             raise ValueError(f"point {p} is already indexed")
         slot = heapq.heappop(self._free) if self._free else len(self._slot)
         bit = 1 << slot
-        for d in self._centers_near(p):
+        for d in near(self._center_buckets, bucket(p)):
             if covers(d, p):
                 self._mask[d] |= bit
         self._slot[p] = slot
-        self._point_buckets[_bucket(p)].append((p, bit))
+        grid_add(self._point_buckets, p, (p, bit))
         self._add_source((0, p), p)
         for key, a, b in self._pairs_with(p):
             for k, center in enumerate(_circles_through(a, b)):
@@ -312,34 +279,23 @@ class CandidateIndex:
         slot = self._slot.pop(p)
         heapq.heappush(self._free, slot)
         bit = 1 << slot
-        _discard(self._point_buckets, _bucket(p), (p, bit))
-        for d in self._centers_near(p):
+        grid_remove(self._point_buckets, p, (p, bit))
+        for d in near(self._center_buckets, bucket(p)):
             self._mask[d] &= ~bit
         self._drop_source((0, p))
         for key, _, _ in self._pairs_with(p):
             for k in (0, 1):
                 self._drop_source(key + (k,))
 
-    def _centers_near(self, p: Point) -> Iterator[UnitDisk]:
-        """Stored centers in the 3x3 2x2 buckets around ``p``'s: every
-        center whose disk can cover ``p``."""
-        bx, by = _bucket(p)
-        for nx in (bx - 1, bx, bx + 1):
-            for ny in (by - 1, by, by + 1):
-                yield from self._center_buckets.get((nx, ny), ())
-
     def _pairs_with(self, p: Point) -> Iterator[tuple[Source, Point, Point]]:
         """``((1, a, b), a, b)`` for each live ``q`` that ``candidate_disks``
         pairs with ``p``, with ``a < b`` the two points."""
-        bx, by = _bucket(p)
-        for nx in (bx - 1, bx, bx + 1):
-            for ny in (by - 1, by, by + 1):
-                for q, _ in self._point_buckets.get((nx, ny), ()):
-                    if q == p:
-                        continue
-                    a, b = (p, q) if p < q else (q, p)
-                    if (a.x - b.x) ** 2 + (a.y - b.y) ** 2 <= 4.0:
-                        yield (1, a, b), a, b
+        for q, _ in near(self._point_buckets, bucket(p)):
+            if q == p:
+                continue
+            a, b = (p, q) if p < q else (q, p)
+            if (a.x - b.x) ** 2 + (a.y - b.y) ** 2 <= 4.0:
+                yield (1, a, b), a, b
 
     def _add_source(self, key: Source, center: Point) -> None:
         d = UnitDisk(center)
@@ -347,7 +303,7 @@ class CandidateIndex:
         if sources is None:
             self._sources[d] = {key}
             self._mask[d] = self._mask_of(d)
-            self._center_buckets[_bucket(center)].append(d)
+            grid_add(self._center_buckets, center, d)
         else:
             sources.add(key)
         self._center_of[key] = d
@@ -360,24 +316,11 @@ class CandidateIndex:
         sources.remove(key)
         if not sources:
             del self._sources[d], self._mask[d]
-            _discard(self._center_buckets, _bucket(d.center), d)
+            grid_remove(self._center_buckets, d.center, d)
 
     def _mask_of(self, d: UnitDisk) -> int:
         """The slot mask of the live points ``coverage_masks`` would give ``d``."""
-        bx, by = _bucket(d.center)
-        near = []
-        for nx in (bx - 1, bx, bx + 1):
-            for ny in (by - 1, by, by + 1):
-                near += self._point_buckets.get((nx, ny), ())
-        return _covered_bits(d.center, near)
-
-
-def _discard(buckets: dict[tuple[int, int], list], cell: tuple[int, int], item) -> None:
-    """Take ``item`` out of ``buckets[cell]``, and the bucket once it is empty."""
-    bucket = buckets[cell]
-    bucket.remove(item)
-    if not bucket:
-        del buckets[cell]
+        return covered_bits(d.center, near(self._point_buckets, bucket(d.center)))
 
 
 def max_coverage_masks(

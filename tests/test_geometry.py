@@ -10,15 +10,21 @@ from stablecover.geometry import (
     Point,
     UnitDisk,
     assign_points,
+    bit_grid,
     boundary_assigned_count,
+    bucket,
     cell_cover,
     cell_cover_size,
     cell_of,
     coverage_value,
+    covered_bits,
     covers,
     disk_churn,
+    grid_add,
+    grid_remove,
     grid_shift_count,
     is_boundary,
+    near,
     select_grid,
 )
 
@@ -30,6 +36,22 @@ def test_covers_center_boundary_outside():
     assert covers(d, Point(0.0, 0.0))
     assert covers(d, Point(0.0, 1.0))  # closed disk keeps its boundary
     assert not covers(d, Point(1.01, 0.0))
+
+
+def test_neighbour_grid_window_bits_and_removal():
+    pts = [Point(0.5, 0.5), Point(3.9, -1.5), Point(4.0, 0.0), Point(-1.5, 0.5)]
+    grid = bit_grid(pts)
+    assert [bucket(p) for p in pts] == [(0, 0), (1, -1), (2, 0), (-1, 0)]
+    # Bucket (2, 0) lies two columns from (0, 0), outside its 3x3 window.
+    window = near(grid, (0, 0))
+    assert sorted(bit for _, bit in window) == [0b0001, 0b0010, 0b1000]
+    # The unit circle keeps its boundary, as in ``covers``.
+    assert covered_bits(Point(-0.5, 0.5), window) == 0b1001
+    for p, bit in zip(pts, (1, 2, 4, 8)):
+        grid_remove(grid, p, (p, bit))
+    assert grid == {}  # emptied buckets and columns go
+    grid_add(grid, pts[1], "entry")
+    assert grid == {1: {-1: ["entry"]}}
 
 
 def test_assign_points_tie_break_lowest_index():

@@ -8,11 +8,13 @@ the exact maintainer (random, half-unit lattice and lower-bound streams) and
 the hitting maintainers on line streams (greedy at m 6, 9 and 12, exact at
 m 6 and 9).  The generated line text at m 9, 12, 30 and 60 has digests of
 its own.  The CI workflow's ``python -O`` replays must check the digests
-here.
+here, and its benchmark step must run every workload at the seed
+``bench/expected.json`` records digests for.
 """
 
 import functools
 import hashlib
+import json
 import random
 import re
 from pathlib import Path
@@ -197,3 +199,19 @@ def test_ci_replay_matches_its_case(name):
         f" --epsilon {config.epsilon} --scaled $SCALED"
     ) in body
     assert re.search(r'echo "([0-9a-f]{64})  \$report" \| sha256sum -c', body).group(1) == digest
+
+
+BENCH_STEP = "- name: Benchmark runs at the recorded seed\n"
+
+
+def test_ci_bench_step_runs_every_workload_at_the_recorded_seed():
+    """The step replays every workload of the benchmark at the seed its
+    digests are recorded for, so CI checks them."""
+    root = WORKFLOW.parents[2]
+    workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    seed = json.loads((root / "bench" / "expected.json").read_text())["seed"]
+    body = WORKFLOW.read_text().split(BENCH_STEP, 1)[1].split("- name: ", 1)[0]
+    loop = re.search(r"for workload in ([^;]+); do", body).group(1).split()
+    assert sorted(loop) == sorted(workloads)
+    assert f'python bench/run.py --workload "$workload" --seed {seed} --seconds 2 --trace 0' in body
+    assert "grep -qF '\"failed\": 0,'" in body

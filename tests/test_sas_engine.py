@@ -349,12 +349,19 @@ def disks_at(*centers):
     return [UnitDisk(Point(x, y)) for x, y in centers]
 
 
+def state_with(cfg, points, disks):
+    """An engine state holding ``points``, assigned to ``disks``."""
+    state = EngineState(config=cfg)
+    state.points = points
+    state.disks = disks
+    state.assignment = assign_points(points, disks)
+    return state
+
+
 def test_group_swap_on_crafted_instance():
     cfg = scaled_config()
     points, disks = eight_singles_and_cluster()
-    state = EngineState(
-        config=cfg, points=points, disks=disks, assignment=assign_points(points, disks)
-    )
+    state = state_with(cfg, points, disks)
     before = state.alg_value
     swap = find_valid_swap(state, solve(state.points, cfg.m))
     assert swap == Swap([0, 1, 7], disks_at((2.0, 2.0), (1.9, 5.9)), Branch.GROUP_SWAP)
@@ -367,9 +374,7 @@ def test_group_swap_on_crafted_instance():
 def test_few_blocks_swap_all_when_kappa_large():
     cfg = scaled_config(kappa=4)
     points, disks = eight_singles_and_cluster()
-    state = EngineState(
-        config=cfg, points=points, disks=disks, assignment=assign_points(points, disks)
-    )
+    state = state_with(cfg, points, disks)
     swap = find_valid_swap(state, solve(state.points, cfg.m))
     # Every optimum disk is internal, so the whole optimum comes in, no dummy.
     singles = [(4.0 * i + 2.0, 2.0) for i in range(7)]
@@ -395,9 +400,7 @@ def test_cell_overflow_swap():
         Point(6.0 + dx, 6.0 + dy) for dx in (-0.2, 0.0, 0.2) for dy in (-0.2, 0.2)
     ]
     points |= set(cluster)
-    state = EngineState(
-        config=cfg, points=points, disks=disks, assignment=assign_points(points, disks)
-    )
+    state = state_with(cfg, points, disks)
     before = state.alg_value
     swap = find_valid_swap(state, solve(state.points, cfg.m))
     # Cell (0, 0) retiled by 3x3 tiles of side sqrt(2), plus the least
@@ -435,9 +438,7 @@ def test_padding_dummy_in_planned_swap(kappa, want):
     cluster = [Point(2.0 + dx, 6.0 + dy) for dx in (-0.1, 0.1) for dy in (-0.1, 0.1)]
     points = set(singles + cluster + [Point(30.0, 4.0)])
     disks = [UnitDisk(c) for c in singles] + disks_at((-6.0, 2.0), (-2.0, 2.0), (2.0, 2.0))
-    state = EngineState(
-        config=cfg, points=points, disks=disks, assignment=assign_points(points, disks)
-    )
+    state = state_with(cfg, points, disks)
     swap = find_valid_swap(state, solve(state.points, cfg.m))
     assert swap == want
     before = state.alg_value
@@ -488,11 +489,7 @@ def test_update_reaches_group_swap_in_scaled_mode():
     points, disks = eight_singles_and_cluster()
     last = Point(1.9, 5.9)
     points.discard(last)
-    state = EngineState(
-        config=cfg, points=set(points), disks=disks,
-        assignment=assign_points(points, disks),
-    )
-    state.points = set(points)
+    state = state_with(cfg, points, disks)
     rep = update(state, "insert", last)
     assert rep.branch in (Branch.GROUP_SWAP, Branch.NO_CHANGE)
     if rep.branch is Branch.NO_CHANGE:
