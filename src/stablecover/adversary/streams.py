@@ -15,7 +15,7 @@ from fractions import Fraction
 
 # disk_churn is re-exported: callers and the benchmark's spans find it here.
 from ..geometry import Point, UnitDisk, disk_churn  # noqa: F401
-from ..sas_engine import check_event
+from ..sas_engine import point_event
 from ..static_solver import (
     CandidateIndex,
     SolverKind,
@@ -50,10 +50,10 @@ class ExactMaintainer:
     """Recomputes the canonical optimum after every event.
 
     The candidates come from a :class:`CandidateIndex` kept across events.  An
-    event applies fully or not at all: a malformed one raises
-    ``sas_engine.StreamError``, as in the SAS engine, and if the solve raises
-    (say, out of its node budget), the point set and the disks stay as they
-    were.
+    event applies fully or not at all, through the SAS engine's
+    :func:`~stablecover.sas_engine.point_event`: a malformed one raises
+    ``StreamError``, and if the solve raises (say, out of its node budget),
+    the point set and the disks stay as they were.
     """
 
     def __init__(self, m: int, kind: SolverKind = SolverKind.EXACT):
@@ -63,16 +63,8 @@ class ExactMaintainer:
         self.disks = pad_disks(m)
 
     def apply(self, op: str, p: Point) -> None:
-        index = self.index
-        check_event(index, op, p)
-        do, undo = (index.add, index.remove) if op == "insert" else (index.remove, index.add)
-        do(p)
-        try:
-            sol = solve(index, self.m, self.kind)
-            self.disks = sol.disks
-        except BaseException:
-            undo(p)
-            raise
+        with point_event(self.index, op, p):
+            self.disks = solve(self.index, self.m, self.kind).disks
 
     def solution(self) -> list[UnitDisk]:
         return list(self.disks)
@@ -259,7 +251,11 @@ def solve_hitting(
 
 
 class ExactHittingMaintainer:
-    """m points stabbing the most arrived lines, re-solved exactly per triple."""
+    """m points stabbing the most arrived lines, re-solved exactly per triple.
+
+    A triple applies fully or not at all: if the solve raises (say, out of
+    its node budget), the lines and the points stay as they were.
+    """
 
     def __init__(self, m: int):
         self.m = m
@@ -267,8 +263,9 @@ class ExactHittingMaintainer:
         self.points: list[RationalPoint] = [_far_point(i, []) for i in range(m)]
 
     def apply_triple(self, triple: Sequence[RationalLine]) -> None:
-        self.lines.extend(triple)
-        _, self.points = solve_hitting(self.lines, self.m)
+        lines = self.lines + list(triple)
+        _, points = solve_hitting(lines, self.m)
+        self.lines, self.points = lines, points
 
     def solution(self) -> list[RationalPoint]:
         return list(self.points)
@@ -278,8 +275,9 @@ class GreedyHittingMaintainer(ExactHittingMaintainer):
     """The greedy oracle's m points in place of the exact optimum."""
 
     def apply_triple(self, triple: Sequence[RationalLine]) -> None:
-        self.lines.extend(triple)
-        _, self.points = solve_hitting(self.lines, self.m, SolverKind.GREEDY)
+        lines = self.lines + list(triple)
+        _, points = solve_hitting(lines, self.m, SolverKind.GREEDY)
+        self.lines, self.points = lines, points
 
 
 @dataclass

@@ -16,7 +16,6 @@ from .sas_engine import (
     EngineInvariantError,
     EngineState,
     UpdateReport,
-    atomic,
     replace_disks,
     step,
 )
@@ -40,7 +39,6 @@ def _single_swap(state: EngineState, opt_sol: Solution) -> tuple[int, Branch]:
     return replace_disks(state, disks), Branch.SINGLE_SWAP
 
 
-@atomic
 def update2(state: EngineState, op: str, p: Point) -> UpdateReport:
     """One update held to ratio 2 (``opt <= 2*alg``) by single swaps."""
     return step(state, op, p, Fraction(1), _single_swap)

@@ -10,13 +10,13 @@ swap is re-verified by direct recount, never trusted from construction.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, KeysView
+from typing import Callable, Iterator, KeysView
 
 from .geometry import (
     Assignment,
@@ -125,6 +125,8 @@ class EngineConfig:
             raise ValueError("grid_shifts must be at least 1")
         if not 0.0 < self.grid_edge < math.inf:
             raise ValueError("grid_edge must be finite and above 0")
+        if self.node_budget < 1:
+            raise ValueError("node_budget must be at least 1")
 
     @property
     def cover_budget(self) -> int:
@@ -147,8 +149,9 @@ class EngineState:
     """The engine's time, live points, disks and assignment.
 
     The live points are held by a :class:`CandidateIndex`, which the oracle
-    solve reads its candidates from; ``points`` is a read-only view of it, and
-    assigning ``points`` rebuilds the index.
+    solve reads its candidates from; ``points`` is a read-only view of it.
+    An update changes all four through :func:`step`, which puts every one
+    back if the update raises.
     """
 
     def __init__(self, config: EngineConfig) -> None:
@@ -161,10 +164,6 @@ class EngineState:
     @property
     def points(self) -> KeysView[Point]:
         return self.index.points
-
-    @points.setter
-    def points(self, points: Iterable[Point]) -> None:
-        self.index = CandidateIndex(points)
 
     @property
     def alg_value(self) -> int:
@@ -512,31 +511,32 @@ def find_valid_swap(state: EngineState, opt_sol: Solution) -> Swap:
     return swap
 
 
-def check_event(index: CandidateIndex, op: str, p: Point) -> None:
-    """Raise :class:`StreamError` unless ``op`` on ``p`` is a valid update of
-    the indexed points: an insert of a new point or a delete of a present one."""
+@contextmanager
+def point_event(index: CandidateIndex, op: str, p: Point) -> Iterator[None]:
+    """Apply ``op`` on ``p`` to ``index`` for a ``with`` block, all or nothing.
+
+    A malformed event (an insert of a present point, a delete of an absent
+    one, an unknown operation) raises :class:`StreamError` and changes
+    nothing.  If the block raises, the one ``add`` or ``remove`` is undone:
+    the index holds the same points and candidates as before, with the same
+    masks up to a relabelling of the bits.
+    """
     if op == "insert":
         if p in index:
             raise StreamError(f"insert of already-present point {p}")
+        do, undo = index.add, index.remove
     elif op == "delete":
         if p not in index:
             raise StreamError(f"delete of absent point {p}")
+        do, undo = index.remove, index.add
     else:
         raise StreamError(f"unknown operation {op!r}")
-
-
-def apply_event(state: EngineState, op: str, p: Point) -> None:
-    """Mutate the point set and keep the assignment consistent."""
-    check_event(state.index, op, p)
-    if op == "insert":
-        state.index.add(p)
-        for i, d in enumerate(state.disks):
-            if covers(d, p):
-                state.assignment[p] = i
-                break
-    else:
-        state.index.remove(p)
-        state.assignment.pop(p, None)
+    do(p)
+    try:
+        yield
+    except BaseException:
+        undo(p)
+        raise
 
 
 def replace_disks(state: EngineState, disks: list[UnitDisk]) -> int:
@@ -573,23 +573,6 @@ def apply_swap(state: EngineState, swap: Swap) -> int:
     return replace_disks(state, swapped_disks(state, swap))
 
 
-def atomic(update_fn):
-    """Make an engine update all-or-nothing: if it raises, ``t``, the points
-    (and with them the candidate index), the disks and the assignment are put
-    back as they were before the call."""
-
-    @functools.wraps(update_fn)
-    def wrapper(state: EngineState, op: str, p: Point) -> UpdateReport:
-        saved = (state.t, set(state.points), state.disks, dict(state.assignment))
-        try:
-            return update_fn(state, op, p)
-        except BaseException:
-            state.t, state.points, state.disks, state.assignment = saved
-            raise
-
-    return wrapper
-
-
 def step(
     state: EngineState,
     op: str,
@@ -597,36 +580,50 @@ def step(
     slack: Fraction,
     repair: Callable[[EngineState, Solution], tuple[int, Branch]],
 ) -> UpdateReport:
-    """The update body every engine shares.
+    """The update body every engine shares, applied all or nothing.
 
-    Applies the event and solves.  While ``opt <= (1+slack)*alg`` nothing
-    changes; otherwise ``repair`` replaces the solution through
-    :func:`replace_disks` and returns the churn and the branch it took.  The
-    result must hold m disks, meet the ratio and stay within the branch's
-    churn bound.
+    Applies the event (the point to the index through :func:`point_event`,
+    an inserted point assigned to the first disk covering it) and solves.
+    While ``opt <= (1+slack)*alg`` nothing changes; otherwise ``repair``
+    replaces the solution through :func:`replace_disks` and returns the churn
+    and the branch it took.  The result must hold m disks, meet the ratio and
+    stay within the branch's churn bound.  If anything raises, the index, ``t``,
+    the disks and the assignment are as they were before the call.
     """
     cfg = state.config
+    saved = (state.t, state.disks, dict(state.assignment))
     state.t += 1
-    apply_event(state, op, p)
-    opt_sol = solve(state.index, cfg.m, cfg.solver, cfg.node_budget)
-    if within_ratio(opt_sol.value, state.alg_value, slack):
-        churn, branch = 0, Branch.NO_CHANGE
-    else:
-        churn, branch = repair(state, opt_sol)
+    try:
+        with point_event(state.index, op, p):
+            if op == "insert":
+                for i, d in enumerate(state.disks):
+                    if covers(d, p):
+                        state.assignment[p] = i
+                        break
+            else:
+                state.assignment.pop(p, None)
+            opt_sol = solve(state.index, cfg.m, cfg.solver, cfg.node_budget)
+            if within_ratio(opt_sol.value, state.alg_value, slack):
+                churn, branch = 0, Branch.NO_CHANGE
+            else:
+                churn, branch = repair(state, opt_sol)
 
-    if len(state.disks) != cfg.m:
-        raise EngineInvariantError(
-            f"{len(state.disks)} disks after t={state.t}, not m={cfg.m}"
-        )
-    if not within_ratio(opt_sol.value, state.alg_value, slack):
-        raise EngineInvariantError(
-            f"ratio 1+{slack} violated at t={state.t}: "
-            f"opt={opt_sol.value} alg={state.alg_value}"
-        )
-    if churn > cfg.churn_bound(branch):
-        raise EngineInvariantError(
-            f"churn {churn} exceeds bound {cfg.churn_bound(branch)} on {branch}"
-        )
+            if len(state.disks) != cfg.m:
+                raise EngineInvariantError(
+                    f"{len(state.disks)} disks after t={state.t}, not m={cfg.m}"
+                )
+            if not within_ratio(opt_sol.value, state.alg_value, slack):
+                raise EngineInvariantError(
+                    f"ratio 1+{slack} violated at t={state.t}: "
+                    f"opt={opt_sol.value} alg={state.alg_value}"
+                )
+            if churn > cfg.churn_bound(branch):
+                raise EngineInvariantError(
+                    f"churn {churn} exceeds bound {cfg.churn_bound(branch)} on {branch}"
+                )
+    except BaseException:
+        state.t, state.disks, state.assignment = saved
+        raise
     return UpdateReport(
         t=state.t,
         op=op,
@@ -649,7 +646,6 @@ def _sas_repair(state: EngineState, opt_sol: Solution) -> tuple[int, Branch]:
     return apply_swap(state, swap), swap.branch
 
 
-@atomic
 def update(state: EngineState, op: str, p: Point) -> UpdateReport:
     """One dynamic update; repairs the solution only when the ratio check fails."""
     return step(state, op, p, state.config.epsilon_exact, _sas_repair)

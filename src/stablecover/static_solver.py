@@ -40,7 +40,7 @@ import bisect
 import heapq
 import math
 from enum import Enum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .geometry import (
     Assignment, Grid, Point, UnitDisk, assign_points, bit_grid, bucket, covered_bits, covers,
@@ -73,7 +73,7 @@ class Solution:
     def __init__(
         self,
         value: int,
-        points: list[Point],
+        points: Collection[Point],
         candidates: list[UnitDisk],
         m: int,
         pick: Callable[[], list[int]],
@@ -120,7 +120,7 @@ def pad_disks(count: int, min_y: float = -990.0) -> list[UnitDisk]:
     return [UnitDisk(Point(0.0, min_y - 10.0 - 3.0 * i)) for i in range(count)]
 
 
-def candidate_disks(points: list[Point] | set[Point]) -> list[UnitDisk]:
+def candidate_disks(points: Iterable[Point]) -> list[UnitDisk]:
     """Candidate centers that realize every achievable single-disk coverage set.
 
     One disk centered at each point, plus for every pair at distance <= 2 the
@@ -196,7 +196,7 @@ def _circles_through(p: Point, q: Point) -> list[Point]:
     return centers
 
 
-def coverage_masks(points: list[Point], disks: list[UnitDisk]) -> list[int]:
+def coverage_masks(points: Iterable[Point], disks: list[UnitDisk]) -> list[int]:
     """Bitmask over ``points`` of what each disk covers.
 
     The points go into one :func:`~stablecover.geometry.bit_grid`; a disk's
@@ -493,7 +493,9 @@ def solve(
         pts = list(points_or_index.points)
         cands, masks = points_or_index.candidates()
     else:
-        pts = sorted(set(points_or_index))
+        # Deduped here and sorted once, inside candidate_disks; the mask bits
+        # follow the set's order, which no result depends on.
+        pts = set(points_or_index)
         cands = candidate_disks(pts)
         masks = coverage_masks(pts, cands)
     if kind is SolverKind.EXACT:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stablecover.adversary import (
+    ExactHittingMaintainer,
     ExactMaintainer,
     GreedyHittingMaintainer,
     NoOpMaintainer,
@@ -363,6 +364,28 @@ def test_greedy_hitting_trace():
     assert len(rows) == 8
     assert all(alg <= opt for alg, opt in zip(column(rows, 2), column(rows, 3)))
     assert max(column(rows, 5)) >= 0
+
+
+@pytest.mark.parametrize("cls", [ExactHittingMaintainer, GreedyHittingMaintainer])
+def test_hitting_maintainer_triple_out_of_budget_changes_nothing(cls, monkeypatch):
+    triples = parse_stream("\n".join(gen_lines(9, seed=1)) + "\n").line_steps
+    mt, clean = cls(9), cls(9)
+    for triple in triples[:3]:
+        mt.apply_triple(triple)
+        clean.apply_triple(triple)
+    lines, points = list(mt.lines), mt.solution()
+
+    def out_of_budget(*args, **kw):
+        raise SolverBudgetError("exceeded 1 search nodes")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(streams, "solve_hitting", out_of_budget)
+        with pytest.raises(SolverBudgetError):
+            mt.apply_triple(triples[3])
+    assert mt.lines == lines and mt.solution() == points
+    mt.apply_triple(triples[3])
+    clean.apply_triple(triples[3])
+    assert mt.lines == clean.lines and mt.solution() == clean.solution()
 
 
 def test_edge_list_export_format():

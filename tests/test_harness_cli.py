@@ -174,6 +174,8 @@ LINE_TRIPLE = "line 1 0 0\nline 0 1 0\nline 1 1 -1\n"
         (["gen", "random", "--delete-prob", "-0.1"], None),
         (["run", "--stream", "STREAM", "--scaled", "node_budget=1"],
          "insert 1.0 1.0\ninsert 1.2 1.0\n"),
+        (["run", "--stream", "STREAM", "--scaled", "node_budget=0"], ""),
+        (["run", "--stream", "STREAM", "--scaled", "node_budget=-3"], ""),
         (["run", "--stream", "STREAM", "--engine", "exact_maintainer", "--m", "2",
           "--scaled", "foo=1", "--epsilon", "0.9"], "insert 1.0 1.0\n"),
         (["run", "--stream", "STREAM", "--engine", "greedy_hitting", "--epsilon", "0.9"],
@@ -195,7 +197,7 @@ LINE_TRIPLE = "line 1 0 0\nline 0 1 0\nline 1 1 -1\n"
     ids=["nan", "inf", "missing-stream", "scaled-not-a-number", "scaled-unknown-key",
          "epsilon-out-of-range", "lines-m-not-divisible-by-3",
          "bbox-nan", "bbox-inf", "bbox-zero", "n-negative", "delete-prob-above-1",
-         "delete-prob-negative", "solver-budget",
+         "delete-prob-negative", "solver-budget", "node-budget-zero", "node-budget-negative",
          "exact-maintainer-bad-options", "greedy-hitting-epsilon", "exact-hitting-epsilon",
          "grid-edge-zero", "grid-edge-inf", "grid-edge-nan", "grid-shifts-zero",
          "block-min-negative", "extend-negative",

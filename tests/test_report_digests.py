@@ -9,7 +9,9 @@ the hitting maintainers on line streams (greedy at m 6, 9 and 12, exact at
 m 6 and 9).  The generated line text at m 9, 12, 30 and 60 has digests of
 its own.  The CI workflow's ``python -O`` replays must check the digests
 here, and its benchmark step must run every workload at the seed
-``bench/expected.json`` records digests for.
+``bench/expected.json`` records digests for.  That step's short runs reach
+only the first chunks of each workload, so a chunk from the middle and the
+last chunk of each recorded list are replayed here.
 """
 
 import functools
@@ -215,3 +217,23 @@ def test_ci_bench_step_runs_every_workload_at_the_recorded_seed():
     assert sorted(loop) == sorted(workloads)
     assert f'python bench/run.py --workload "$workload" --seed {seed} --seconds 2 --trace 0' in body
     assert "grep -qF '\"failed\": 0,'" in body
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+RECORDED = json.loads((BENCH / "expected.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED["digests"]))
+def test_bench_digests_hold_past_the_ci_prefix(name, monkeypatch):
+    """The middle and the last recorded chunk replay to their digests, as
+    ``bench/record.py`` replays them."""
+    monkeypatch.syspath_prepend(str(BENCH))  # measure imports its siblings by name
+    import measure
+    from workloads import WORKLOADS
+
+    digests = RECORDED["digests"][name]
+    for k in (len(digests) // 2, len(digests) - 1):
+        chunk = measure.set_up(WORKLOADS[name], RECORDED["seed"], k, repeats=1)
+        measure.replay(WORKLOADS[name], chunk, None)
+        assert chunk.failure is None, (k, chunk.failure)
+        assert measure.digest(chunk.report) == digests[k], k

@@ -14,7 +14,6 @@ from stablecover.sas_engine import (
     EngineState,
     StreamError,
     Swap,
-    apply_event,
     apply_swap,
     extended_range,
     find_valid_swap,
@@ -28,7 +27,7 @@ from stablecover.sas_engine import (
 )
 from stablecover.geometry import GridSpec
 from stablecover.harness_cli import gen_random, parse_stream
-from stablecover.static_solver import SolverBudgetError, SolverKind, solve
+from stablecover.static_solver import CandidateIndex, SolverBudgetError, SolverKind, solve
 
 
 def test_config_defaults_quarter_epsilon():
@@ -352,7 +351,7 @@ def disks_at(*centers):
 def state_with(cfg, points, disks):
     """An engine state holding ``points``, assigned to ``disks``."""
     state = EngineState(config=cfg)
-    state.points = points
+    state.index = CandidateIndex(points)
     state.disks = disks
     state.assignment = assign_points(points, disks)
     return state
@@ -602,7 +601,10 @@ def test_group_swap_over_churn_bound_raises_outside_scaled_mode():
     with pytest.raises(EngineInvariantError, match="^group swap churn 14 exceeds bound 12$"):
         update(state, *events[5])
     # The planner itself labels the fallback instead of raising.
-    apply_event(state, *events[5])
+    op, p = events[5]
+    assert op == "insert"
+    state.index.add(p)
+    state.assignment = assign_points(state.points, state.disks)
     swap = find_valid_swap(state, solve(state.points, cfg.m, cfg.solver))
     assert swap.branch is Branch.FEW_BLOCKS_SWAP_ALL
     assert swap.reason == "group swap churn 14 exceeds bound 12"
