@@ -17,9 +17,9 @@ from fractions import Fraction
 from ..geometry import Point, UnitDisk, disk_churn  # noqa: F401
 from ..sas_engine import point_event
 from ..static_solver import (
+    DEFAULT_NODE_BUDGET,
     CandidateIndex,
     SolverKind,
-    _greedy_masks,
     max_coverage_masks,
     pad_disks,
     solve,
@@ -56,15 +56,17 @@ class ExactMaintainer:
     the point set and the disks stay as they were.
     """
 
-    def __init__(self, m: int, kind: SolverKind = SolverKind.EXACT):
+    def __init__(self, m: int, kind: SolverKind = SolverKind.EXACT,
+                 node_budget: int = DEFAULT_NODE_BUDGET):
         self.m = m
         self.kind = kind
+        self.node_budget = node_budget
         self.index = CandidateIndex()
         self.disks = pad_disks(m)
 
     def apply(self, op: str, p: Point) -> None:
         with point_event(self.index, op, p):
-            self.disks = solve(self.index, self.m, self.kind).disks
+            self.disks = solve(self.index, self.m, self.kind, self.node_budget).disks
 
     def solution(self) -> list[UnitDisk]:
         return list(self.disks)
@@ -230,22 +232,17 @@ def _far_point(index: int, lines: Sequence[RationalLine]) -> RationalPoint:
 def solve_hitting(
     lines: Sequence[RationalLine], m: int, kind: SolverKind = SolverKind.EXACT
 ) -> tuple[int, list[RationalPoint]]:
-    """Most lines stabbed by m points under the given oracle.
+    """Most lines stabbed by m points under the given oracle, which
+    :func:`~stablecover.static_solver.max_coverage_masks` runs.
 
-    The exact oracle returns the optimum with the canonical candidate choice;
-    the greedy one takes the best marginal gain, lowest candidate on ties.
     One call builds one candidate table, reads the masks from it, and makes
     rational points only for the chosen candidates (at most m).
     """
     if not lines:
         return 0, [_far_point(i, lines) for i in range(m)]
     cands = hitting_candidates(lines)
-    masks = _hitting_masks(lines, cands)
-    if kind is SolverKind.EXACT:
-        value, idxs = max_coverage_masks(masks, m)
-    else:
-        value, idxs = _greedy_masks(masks, m)
-    pts = [cands[i] for i in idxs]
+    value, pick = max_coverage_masks(_hitting_masks(lines, cands), m, kind)
+    pts = [cands[i] for i in pick()]
     pts += [_far_point(i, lines) for i in range(m - len(pts))]
     return value, pts
 
@@ -257,6 +254,8 @@ class ExactHittingMaintainer:
     its node budget), the lines and the points stay as they were.
     """
 
+    kind = SolverKind.EXACT
+
     def __init__(self, m: int):
         self.m = m
         self.lines: list[RationalLine] = []
@@ -264,7 +263,7 @@ class ExactHittingMaintainer:
 
     def apply_triple(self, triple: Sequence[RationalLine]) -> None:
         lines = self.lines + list(triple)
-        _, points = solve_hitting(lines, self.m)
+        _, points = solve_hitting(lines, self.m, self.kind)
         self.lines, self.points = lines, points
 
     def solution(self) -> list[RationalPoint]:
@@ -274,10 +273,10 @@ class ExactHittingMaintainer:
 class GreedyHittingMaintainer(ExactHittingMaintainer):
     """The greedy oracle's m points in place of the exact optimum."""
 
-    def apply_triple(self, triple: Sequence[RationalLine]) -> None:
-        lines = self.lines + list(triple)
-        _, points = solve_hitting(lines, self.m, SolverKind.GREEDY)
-        self.lines, self.points = lines, points
+    kind = SolverKind.GREEDY
+    # The inherited body, bound again in this class's own ``__dict__``: the
+    # benchmark's step timer and tracer look the method up there.
+    apply_triple = ExactHittingMaintainer.apply_triple
 
 
 @dataclass

@@ -206,7 +206,7 @@ def run_points(config: RunConfig, events: list[tuple[str, Point]], maintainer=No
         engine = config.engine
         settings = _engine_config(config)
         if engine == "exact_maintainer":
-            maintainer = ExactMaintainer(config.m, config.solver)
+            maintainer = ExactMaintainer(settings.m, settings.solver, settings.node_budget)
         else:
             maintainer = EngineMaintainer(engine, settings)
     rows = []
@@ -259,14 +259,15 @@ def run_lines(
     table behind the engines' masks (and this loop's own re-solve), so a
     wrong mask cannot confirm itself.
     """
+    m = config.m
     engine = None
     if maintainer is None:
         engine = config.engine
         _engine_config(config)  # the option checks every engine gets
         if engine == "greedy_hitting":
-            maintainer = GreedyHittingMaintainer(config.m)
+            maintainer = GreedyHittingMaintainer(m)
         else:
-            maintainer = ExactHittingMaintainer(config.m)
+            maintainer = ExactHittingMaintainer(m)
     rows = []
     arrived: list[RationalLine] = []
     for t, triple in enumerate(steps, start=1):
@@ -275,10 +276,12 @@ def run_lines(
         after = maintainer.solution()
         arrived.extend(triple)
         alg = evaluate_hitting(after, arrived)
-        opt, _ = solve_hitting(arrived, config.m)
+        opt, _ = solve_hitting(arrived, m)
         churn = disk_churn(before, after)
         if engine == "exact_hitting":
             _check(alg == opt, f"exact hitting maintainer suboptimal at t={t}")
+        elif engine == "greedy_hitting":  # greedy keeps 1 - (1 - 1/m)^m of the optimum
+            _check(alg * m**m >= (m**m - (m - 1) ** m) * opt, f"greedy bound failed at t={t}")
         rows.append(_row(t, "lines", alg, opt, churn, "Hitting"))
     return rows
 

@@ -4,6 +4,8 @@
 optima it returns the lexicographically smallest candidate-index set) and a
 greedy fallback with the usual (1 - 1/e) guarantee.
 
+One entry, :func:`max_coverage_masks`, picks the search by :class:`SolverKind`
+for ``solve`` and for the line-hitting solver in :mod:`stablecover.adversary`.
 The exact search has two phases that draw on one node budget: a value search
 over the distinct coverage masks, then the extraction of the canonical index
 set, which continues the same node count.  ``solve`` computes candidates,
@@ -13,8 +15,7 @@ and assignment only when one of them is first read.  A caller that reads only
 phases together exhaust the budget: on one draw of 200 uniform points in a
 10x10 box at ``m=4`` the value search takes 12.6k nodes and extraction more
 than 5M.  Both phases are explicit-stack loops whose depth is bounded by
-``m``, never by the number of masks.  The mask-based search core is shared with the line-hitting
-solver in :mod:`stablecover.adversary`.
+``m``, never by the number of masks.
 
 Candidates and masks come from one of two paths.  Called with the points,
 ``solve`` builds them from scratch (:func:`candidate_disks`,
@@ -326,17 +327,22 @@ class CandidateIndex:
 def max_coverage_masks(
     masks: list[int],
     m: int,
+    kind: SolverKind = SolverKind.EXACT,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> tuple[int, list[int]]:
-    """Maximum union of ``m`` masks; ties by lexicographically smallest indices.
+) -> tuple[int, Callable[[], list[int]]]:
+    """The best union of ``m`` masks under the given oracle: its size now, and
+    ``pick()`` for the chosen indices (at most ``min(m, len(masks))``).
 
-    The value search runs over distinct masks only; the returned index set is
-    extracted from the full list, so equal-coverage duplicates may legitimately
-    appear in it.  Returns the value and the chosen ascending index list of
-    size ``min(m, len(masks))``.  Both phases draw on one ``node_budget``.
-    """
-    best, nodes = _best_value(masks, m, node_budget)
-    return best, _extract(masks, m, best, nodes, node_budget)
+    Exact: the value search runs here over the distinct masks; ``pick()``
+    extracts the lexicographically smallest optimal index set, ascending, from
+    the full list (equal-coverage duplicates may appear in it), continuing the
+    node count under the same ``node_budget``.  Greedy: both run here, and
+    ``pick()`` gives the indices in pick order."""
+    if kind is SolverKind.EXACT:
+        value, nodes = _best_value(masks, m, node_budget)
+        return value, lambda: _extract(masks, m, value, nodes, node_budget)
+    value, indices = _greedy_masks(masks, m)
+    return value, indices.copy
 
 
 def _budget_error(node_budget: int) -> SolverBudgetError:
@@ -498,14 +504,5 @@ def solve(
         pts = set(points_or_index)
         cands = candidate_disks(pts)
         masks = coverage_masks(pts, cands)
-    if kind is SolverKind.EXACT:
-        value, nodes = _best_value(masks, m, node_budget)
-
-        def pick() -> list[int]:
-            return _extract(masks, m, value, nodes, node_budget)
-    else:
-        value, indices = _greedy_masks(masks, m)
-
-        def pick() -> list[int]:
-            return indices
+    value, pick = max_coverage_masks(masks, m, kind, node_budget)
     return Solution(value, pts, cands, m, pick)

@@ -34,7 +34,7 @@ from stablecover.adversary.streams import disk_churn
 from stablecover.geometry import Point
 from stablecover.harness_cli import RunConfig, gen_lines, parse_stream, run_lines, run_points
 from stablecover.sas_engine import StreamError
-from stablecover.static_solver import SolverBudgetError, SolverKind, solve
+from stablecover.static_solver import DEFAULT_NODE_BUDGET, SolverBudgetError, SolverKind, solve
 
 
 def line_list(rep):
@@ -103,7 +103,7 @@ def test_exact_maintainer_churn_at_trigger():
 
 
 @pytest.mark.parametrize("op", ["insert", "delete"])
-def test_exact_maintainer_event_out_of_budget_changes_nothing(op, monkeypatch):
+def test_exact_maintainer_event_out_of_budget_changes_nothing(op):
     rng = random.Random(3)
     points = {Point(rng.uniform(0, 4), rng.uniform(0, 4)) for _ in range(6)}
     mt = ExactMaintainer(2)
@@ -112,13 +112,11 @@ def test_exact_maintainer_event_out_of_budget_changes_nothing(op, monkeypatch):
     disks = mt.solution()
     p = Point(5.0, 5.0) if op == "insert" else min(points)
     after = points | {p} if op == "insert" else points - {p}
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            streams, "solve", lambda *args, **kw: solve(*args, **kw, node_budget=1)
-        )
-        with pytest.raises(SolverBudgetError):
-            mt.apply(op, p)
+    mt.node_budget = 1
+    with pytest.raises(SolverBudgetError):
+        mt.apply(op, p)
     assert set(mt.index.points) == points and mt.solution() == disks
+    mt.node_budget = DEFAULT_NODE_BUDGET
     mt.apply(op, p)
     assert mt.solution() == solve(after, 2).disks
 

@@ -1,5 +1,6 @@
 import pytest
 
+from stablecover.adversary.streams import GreedyHittingMaintainer
 from stablecover.harness_cli import (
     HarnessError,
     RunConfig,
@@ -147,6 +148,17 @@ def test_line_coefficients_normalized_on_parse():
         parse_stream("line 0 0 5\nline 1 0 0\nline 0 1 0\n")
 
 
+def test_greedy_hitting_held_to_the_greedy_bound(monkeypatch):
+    """A greedy hitting maintainer that keeps its far points stabs nothing,
+    below ``1 - (1 - 1/m)^m`` of the optimum from the first triple on."""
+    stream = parse_stream("\n".join(gen_lines(6, 1)) + "\n")
+    config = RunConfig(engine="greedy_hitting", m=6)
+    assert run(config, stream)
+    monkeypatch.setattr(GreedyHittingMaintainer, "apply_triple", lambda self, triple: None)
+    with pytest.raises(HarnessError, match="greedy bound failed at t=1$"):
+        run(config, stream)
+
+
 def test_run_rejects_invalid_m():
     stream = parse_stream("insert 1.0 1.0\n")
     with pytest.raises(HarnessError):
@@ -174,6 +186,8 @@ LINE_TRIPLE = "line 1 0 0\nline 0 1 0\nline 1 1 -1\n"
         (["gen", "random", "--delete-prob", "-0.1"], None),
         (["run", "--stream", "STREAM", "--scaled", "node_budget=1"],
          "insert 1.0 1.0\ninsert 1.2 1.0\n"),
+        (["run", "--stream", "STREAM", "--engine", "exact_maintainer", "--m", "2",
+          "--scaled", "node_budget=1"], "insert 1.0 1.0\ninsert 1.2 1.0\ninsert 5.0 5.0\n"),
         (["run", "--stream", "STREAM", "--scaled", "node_budget=0"], ""),
         (["run", "--stream", "STREAM", "--scaled", "node_budget=-3"], ""),
         (["run", "--stream", "STREAM", "--engine", "exact_maintainer", "--m", "2",
@@ -197,7 +211,7 @@ LINE_TRIPLE = "line 1 0 0\nline 0 1 0\nline 1 1 -1\n"
     ids=["nan", "inf", "missing-stream", "scaled-not-a-number", "scaled-unknown-key",
          "epsilon-out-of-range", "lines-m-not-divisible-by-3",
          "bbox-nan", "bbox-inf", "bbox-zero", "n-negative", "delete-prob-above-1",
-         "delete-prob-negative", "solver-budget", "node-budget-zero", "node-budget-negative",
+         "delete-prob-negative", "solver-budget", "exact-maintainer-budget", "node-budget-zero", "node-budget-negative",
          "exact-maintainer-bad-options", "greedy-hitting-epsilon", "exact-hitting-epsilon",
          "grid-edge-zero", "grid-edge-inf", "grid-edge-nan", "grid-shifts-zero",
          "block-min-negative", "extend-negative",

@@ -213,7 +213,8 @@ def test_masks_match_reference_with_duplicates():
     for _ in range(200):
         masks = [rng.getrandbits(6) for _ in range(rng.randint(1, 14))]
         m = rng.randint(1, 5)
-        assert max_coverage_masks(masks, m) == reference_max_coverage_masks(masks, m)
+        value, pick = max_coverage_masks(masks, m)
+        assert (value, pick()) == reference_max_coverage_masks(masks, m)
 
 
 def test_lazy_greedy_matches_reference():
@@ -242,4 +243,5 @@ def test_reference_recursion_limit():
 def test_deep_mask_list_is_iterative():
     masks = deep_masks()
     assert len(masks) == 4096
-    assert max_coverage_masks(masks, 2) == (13, [0, 4095])
+    value, pick = max_coverage_masks(masks, 2)
+    assert (value, pick()) == (13, [0, 4095])

@@ -204,19 +204,36 @@ def test_ci_replay_matches_its_case(name):
 
 
 BENCH_STEP = "- name: Benchmark runs at the recorded seed\n"
+TRACED_BENCH_STEP = "- name: Traced benchmark runs at the recorded seed\n"
+
+
+def _bench_step(step: str) -> tuple[str, int]:
+    """The step's body, once its loop is checked to name every workload of
+    the benchmark, and the seed the benchmark's digests are recorded for."""
+    root = WORKFLOW.parents[2]
+    workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    seed = json.loads((root / "bench" / "expected.json").read_text())["seed"]
+    body = WORKFLOW.read_text().split(step, 1)[1].split("- name: ", 1)[0]
+    loop = re.search(r"for workload in ([^;]+); do", body).group(1).split()
+    assert sorted(loop) == sorted(workloads)
+    return body, seed
 
 
 def test_ci_bench_step_runs_every_workload_at_the_recorded_seed():
     """The step replays every workload of the benchmark at the seed its
     digests are recorded for, so CI checks them."""
-    root = WORKFLOW.parents[2]
-    workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
-    seed = json.loads((root / "bench" / "expected.json").read_text())["seed"]
-    body = WORKFLOW.read_text().split(BENCH_STEP, 1)[1].split("- name: ", 1)[0]
-    loop = re.search(r"for workload in ([^;]+); do", body).group(1).split()
-    assert sorted(loop) == sorted(workloads)
+    body, seed = _bench_step(BENCH_STEP)
     assert f'python bench/run.py --workload "$workload" --seed {seed} --seconds 2 --trace 0' in body
     assert "grep -qF '\"failed\": 0,'" in body
+
+
+def test_ci_traced_bench_step_runs_every_workload_and_sees_the_oracle():
+    """The traced step runs every workload under the tracer, which must find
+    the program's names, and fails unless the oracle's span saw calls."""
+    body, seed = _bench_step(TRACED_BENCH_STEP)
+    assert f'python bench/run.py --workload "$workload" --seed {seed} --seconds 1 --trace 1' in body
+    assert '$1 == "static_solver.max_coverage_masks.calls" { seen = $2 > 0 }' in body
+    assert "END { exit !seen }" in body
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"

@@ -115,7 +115,8 @@ def test_lexicographically_smallest_optimum():
         pts = sorted({Point(rng.uniform(0, 5), rng.uniform(0, 5)) for _ in range(7)})
         masks = coverage_masks(pts, candidate_disks(pts))
         m = rng.randint(1, 3)
-        value, chosen = max_coverage_masks(masks, m)
+        value, pick = max_coverage_masks(masks, m)
+        chosen = pick()
         k = len(chosen)
         best_sets = []
         for combo in itertools.combinations(range(len(masks)), k):
