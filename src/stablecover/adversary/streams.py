@@ -231,27 +231,34 @@ def _far_point(index: int, lines: Sequence[RationalLine]) -> RationalPoint:
 
 def solve_hitting(
     lines: Sequence[RationalLine], m: int, kind: SolverKind = SolverKind.EXACT
-) -> tuple[int, list[RationalPoint]]:
+) -> tuple[int, Callable[[], list[RationalPoint]]]:
     """Most lines stabbed by m points under the given oracle, which
-    :func:`~stablecover.static_solver.max_coverage_masks` runs.
+    :func:`~stablecover.static_solver.max_coverage_masks` runs: the value now,
+    and ``points()`` for the m points.
 
-    One call builds one candidate table, reads the masks from it, and makes
-    rational points only for the chosen candidates (at most m).
+    One call builds one candidate table and reads the masks from it.  Only
+    ``points()`` runs the oracle's ``pick()`` (the exact extraction, under the
+    same node budget) and makes rational points for the chosen candidates (at
+    most m), padded with far points.
     """
     if not lines:
-        return 0, [_far_point(i, lines) for i in range(m)]
+        return 0, lambda: [_far_point(i, lines) for i in range(m)]
     cands = hitting_candidates(lines)
     value, pick = max_coverage_masks(_hitting_masks(lines, cands), m, kind)
-    pts = [cands[i] for i in pick()]
-    pts += [_far_point(i, lines) for i in range(m - len(pts))]
-    return value, pts
+
+    def points() -> list[RationalPoint]:
+        pts = [cands[i] for i in pick()]
+        return pts + [_far_point(i, lines) for i in range(m - len(pts))]
+
+    return value, points
 
 
 class ExactHittingMaintainer:
     """m points stabbing the most arrived lines, re-solved exactly per triple.
 
-    A triple applies fully or not at all: if the solve raises (say, out of
-    its node budget), the lines and the points stay as they were.
+    A triple applies fully or not at all: if the solve or the extraction of
+    its points raises (say, out of its node budget), the lines and the points
+    stay as they were.
     """
 
     kind = SolverKind.EXACT
@@ -264,7 +271,8 @@ class ExactHittingMaintainer:
     def apply_triple(self, triple: Sequence[RationalLine]) -> None:
         lines = self.lines + list(triple)
         _, points = solve_hitting(lines, self.m, self.kind)
-        self.lines, self.points = lines, points
+        # points() may raise; the tuple is built before either name is bound.
+        self.lines, self.points = lines, points()
 
     def solution(self) -> list[RationalPoint]:
         return list(self.points)
@@ -299,7 +307,8 @@ def no_sas_check(
     """Judge report rows (``t,op,alg_value,opt_value,ratio,churn,branch``, as
     the harness's replay loops return them)."""
     figures = [(int(r[2]), int(r[3]), int(r[5])) for r in (row.split(",") for row in rows)]
-    ok = all(alg > (1.0 - eps_star) * opt for alg, opt, _ in figures if opt)
+    keep = 1 - Fraction(str(eps_star))  # the decimal as written, not its binary float
+    ok = all(alg * keep.denominator > keep.numerator * opt for alg, opt, _ in figures if opt)
     return NoSasCheck(
         maintained_ratio=ok,
         max_churn=max((churn for _, _, churn in figures), default=0),

@@ -276,6 +276,7 @@ def run_lines(
         after = maintainer.solution()
         arrived.extend(triple)
         alg = evaluate_hitting(after, arrived)
+        # The value alone: its points are never extracted or converted.
         opt, _ = solve_hitting(arrived, m)
         churn = disk_churn(before, after)
         if engine == "exact_hitting":

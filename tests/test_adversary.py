@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from stablecover import static_solver
 from stablecover.adversary import (
     ExactHittingMaintainer,
     ExactMaintainer,
@@ -348,7 +349,9 @@ def test_solve_hitting_builds_one_table_and_converts_only_chosen_points(kind, mo
     for lines, m in [([], 3), (cross, 4), (arrived[:3], 9), (arrived, 9), (arrived, 2)]:
         builds.clear()
         conversions.clear()
-        _, pts = solve_hitting(lines, m, kind)
+        _, points = solve_hitting(lines, m, kind)
+        assert len(conversions) == 0  # the value alone converts no point
+        pts = points()
         assert len(pts) == m
         assert len(builds) == (1 if lines else 0)
         assert len(conversions) <= m
@@ -364,8 +367,17 @@ def test_greedy_hitting_trace():
     assert max(column(rows, 5)) >= 0
 
 
-@pytest.mark.parametrize("cls", [ExactHittingMaintainer, GreedyHittingMaintainer])
-def test_hitting_maintainer_triple_out_of_budget_changes_nothing(cls, monkeypatch):
+@pytest.mark.parametrize(
+    "cls, module, failing",
+    [
+        (ExactHittingMaintainer, streams, "solve_hitting"),
+        (GreedyHittingMaintainer, streams, "solve_hitting"),
+        # The value search succeeds; extracting the points raises.
+        (ExactHittingMaintainer, static_solver, "_extract"),
+    ],
+    ids=["ExactHittingMaintainer", "GreedyHittingMaintainer", "ExactHittingMaintainer-extraction"],
+)
+def test_hitting_maintainer_triple_out_of_budget_changes_nothing(cls, module, failing, monkeypatch):
     triples = parse_stream("\n".join(gen_lines(9, seed=1)) + "\n").line_steps
     mt, clean = cls(9), cls(9)
     for triple in triples[:3]:
@@ -377,7 +389,7 @@ def test_hitting_maintainer_triple_out_of_budget_changes_nothing(cls, monkeypatc
         raise SolverBudgetError("exceeded 1 search nodes")
 
     with monkeypatch.context() as patch:
-        patch.setattr(streams, "solve_hitting", out_of_budget)
+        patch.setattr(module, failing, out_of_budget)
         with pytest.raises(SolverBudgetError):
             mt.apply_triple(triples[3])
     assert mt.lines == lines and mt.solution() == points
@@ -405,6 +417,9 @@ def test_no_sas_check_reports_threshold():
     assert out.churn_threshold == pytest.approx(0.3)
     bad = ["1,lines,5,10,0.500000,1,Hitting"]
     assert not no_sas_check(bad, 0.2, 0.3, 60).maintained_ratio
+    # A ratio of exactly 1 - eps_star is not above it; as floats, (1.0 - 0.3) * 90 < 63.
+    at = ["1,lines,63,90,0.700000,0,Hitting"]
+    assert not no_sas_check(at, eps_star=0.3, alpha=0.3, m=60).maintained_ratio
 
 
 def test_sparse_rep_repairs_concurrent_chords():

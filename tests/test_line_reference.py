@@ -227,8 +227,12 @@ def test_census_matches_reference():
 
 @pytest.mark.parametrize("kind", [SolverKind.EXACT, SolverKind.GREEDY])
 def test_solve_hitting_matches_reference(kind, monkeypatch):
+    def solved(lines, m):
+        value, points = streams.solve_hitting(lines, m, kind)
+        return value, points()
+
     runs = [(m, lines) for ms, lines, _, _ in reference_cases() for m in ms]
-    got = [streams.solve_hitting(lines, m, kind) for m, lines in runs]
+    got = [solved(lines, m) for m, lines in runs]
     tables = {tuple(lines): (cands, masks) for _, lines, cands, masks in reference_cases()}
     calls = {"hitting_candidates": 0, "_hitting_masks": 0}
 
@@ -240,7 +244,7 @@ def test_solve_hitting_matches_reference(kind, monkeypatch):
 
     monkeypatch.setattr(streams, "hitting_candidates", reference_seam("hitting_candidates", 0))
     monkeypatch.setattr(streams, "_hitting_masks", reference_seam("_hitting_masks", 1))
-    assert got == [streams.solve_hitting(lines, m, kind) for m, lines in runs]
+    assert got == [solved(lines, m) for m, lines in runs]
     # A solve that bypassed either seam would not have read the reference.
     assert calls == {"hitting_candidates": len(runs), "_hitting_masks": len(runs)}
 

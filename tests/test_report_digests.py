@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from stablecover import static_solver
 from stablecover.geometry import Point
 from stablecover.harness_cli import (
     RunConfig,
@@ -33,7 +34,7 @@ from stablecover.harness_cli import (
     parse_stream,
     run,
 )
-from stablecover.static_solver import SolverKind
+from stablecover.static_solver import SolverBudgetError, SolverKind
 
 # The scaled constants of the benchmark's sas-greedy-sparse workload.
 SCALED = dict(
@@ -165,6 +166,27 @@ def test_scaled_stream_reaches_group_swap():
     assert {"TrivialSwapAll", "GroupSwap"} <= branches
 
 
+@pytest.mark.parametrize("name, per_triple", [("greedy-hitting-m9", 0), ("exact-hitting-m9", 1)])
+def test_line_resolve_never_extracts(name, per_triple, monkeypatch):
+    """The harness's line re-solve reads only the optimum's value: with every
+    extraction out of budget the greedy replay keeps its digest, and the exact
+    replay extracts once per triple, for its engine's points."""
+    extractions = []
+    extract = static_solver._extract
+
+    def counted(*args):
+        extractions.append(args)
+        if not per_triple:
+            raise SolverBudgetError("extraction out of budget")
+        return extract(*args)
+
+    monkeypatch.setattr(static_solver, "_extract", counted)
+    config, rows, digest = CASES[name]
+    stream = parse_stream("\n".join(rows) + "\n")
+    assert hashlib.sha256(run(config, stream).encode()).hexdigest() == digest
+    assert len(extractions) == per_triple * len(stream.line_steps)
+
+
 @pytest.mark.parametrize("m", sorted(GEN_LINES))
 def test_gen_lines_digest_unchanged(m):
     text = "\n".join(gen_lines(m, seed=1)) + "\n"
@@ -173,7 +195,12 @@ def test_gen_lines_digest_unchanged(m):
 
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
 
-# The workflow steps that replay a pinned stream under ``python -O``.
+
+def _step_body(step: str) -> str:
+    return WORKFLOW.read_text().split(step, 1)[1].split("- name: ", 1)[0]
+
+
+# The workflow steps that replay a pinned point stream under ``python -O``.
 CI_REPLAYS = {
     "sas-greedy-fallbacks": "Scaled-mode fallback stream under -O",
     "sas-greedy-sparse": "Sparse greedy stream under -O",
@@ -185,8 +212,7 @@ def test_ci_replay_matches_its_case(name):
     """The step generates the case's stream, replays it with the case's
     settings and checks the case's digest, so re-recording a digest here
     cannot leave CI checking a stale one."""
-    step = f"- name: {CI_REPLAYS[name]}\n"
-    body = WORKFLOW.read_text().split(step, 1)[1].split("- name: ", 1)[0]
+    body = _step_body(f"- name: {CI_REPLAYS[name]}\n")
     config, rows, digest = CASES[name]
     scaled = re.search(r"SCALED: (\S+)", body).group(1)
     assert dict(item.split("=") for item in scaled.split(",")) == {
@@ -203,6 +229,27 @@ def test_ci_replay_matches_its_case(name):
     assert re.search(r'echo "([0-9a-f]{64})  \$report" \| sha256sum -c', body).group(1) == digest
 
 
+LINE_STEP = "- name: Line streams under -O\n"
+LINE_REPLAYS = ("exact-hitting-m9", "greedy-hitting-m9")
+
+
+def test_ci_line_step_matches_its_cases():
+    """The line step generates the cases' stream, replays it through each
+    case's engine with the case's settings and checks that case's digest."""
+    body = _step_body(LINE_STEP)
+    m, seed = map(int, re.search(r"gen lines --m (\d+) --seed (\d+)", body).groups())
+    checks = re.search(r"for check in (.*?); do", body, re.S).group(1).replace("\\", " ").split()
+    assert dict(check.split(":") for check in checks) == {
+        CASES[name][0].engine: CASES[name][2] for name in LINE_REPLAYS
+    }
+    for name in LINE_REPLAYS:
+        config, rows, _ = CASES[name]
+        assert config == RunConfig(engine=config.engine, m=m)
+        assert rows == gen_lines(m, seed)
+    assert f'replay="--stream $stream --engine $engine --m {m}"' in body
+    assert 'echo "${check#*:}  $report" | sha256sum -c' in body
+
+
 BENCH_STEP = "- name: Benchmark runs at the recorded seed\n"
 TRACED_BENCH_STEP = "- name: Traced benchmark runs at the recorded seed\n"
 
@@ -213,7 +260,7 @@ def _bench_step(step: str) -> tuple[str, int]:
     root = WORKFLOW.parents[2]
     workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
     seed = json.loads((root / "bench" / "expected.json").read_text())["seed"]
-    body = WORKFLOW.read_text().split(step, 1)[1].split("- name: ", 1)[0]
+    body = _step_body(step)
     loop = re.search(r"for workload in ([^;]+); do", body).group(1).split()
     assert sorted(loop) == sorted(workloads)
     return body, seed
