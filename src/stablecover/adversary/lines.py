@@ -5,14 +5,16 @@ the drawing is verified exactly so that three-or-more-line concurrences occur
 only at vertex points and no point lies on five lines.  Floating point is
 forbidden in this module: concurrency counts are the whole point.
 
-Incidence is integer arithmetic.  A line ``(a, b, c)`` contains ``(x, y)``
-when ``a*x + b*y + c`` vanishes, tested with the fractions' numerators and
-denominators cross-multiplied.  Two lines meet at the cross product of their
-coefficient triples, the homogeneous point ``(X, Y, W)`` standing for
-``(X/W, Y/W)``; divided by ``gcd(X, Y, W)`` and signed so ``W > 0`` it is the
-one key of that point (parallel lines give ``W == 0`` and meet nowhere).
-``_meets`` tables every pairwise meet under that key; the census, the
-sparsity check and the hitting-set candidates and masks are read from it.
+Incidence is integer arithmetic.  A point is held as the homogeneous
+integer triple ``(X, Y, W)`` standing for ``(X/W, Y/W)``; divided by
+``gcd(X, Y, W)`` and signed so ``W > 0`` it is the one key of that point.
+A line ``(a, b, c)`` contains it when ``a*X + b*Y + c*W`` vanishes.  Two
+lines meet at the cross product of their coefficient triples (parallel
+lines give ``W == 0`` and meet nowhere), and the line through two points is
+the cross product of their keys.  ``_meets`` tables every pairwise meet
+under its key; the census, the sparsity check and the hitting-set
+candidates and masks are read from it.  The drawing and its checks build
+no ``Fraction`` beyond the vertex positions they return.
 """
 
 from __future__ import annotations
@@ -41,26 +43,17 @@ class RationalLine:
     c: int
 
     @staticmethod
-    def normalized(a: Fraction, b: Fraction, c: Fraction) -> "RationalLine":
+    def normalized(a: Fraction | int, b: Fraction | int, c: Fraction | int) -> "RationalLine":
         if a == 0 and b == 0:
             raise ValueError("not a line: both direction coefficients are zero")
         den = a.denominator * b.denominator * c.denominator
-        ia, ib, ic = (int(v * den) for v in (a, b, c))
-        g = gcd(gcd(abs(ia), abs(ib)), abs(ic))
-        ia, ib, ic = ia // g, ib // g, ic // g
-        lead = ia if ia != 0 else ib
-        if lead < 0:
-            ia, ib, ic = -ia, -ib, -ic
-        return RationalLine(ia, ib, ic)
+        if den == 1:
+            return _reduced(a.numerator, b.numerator, c.numerator)
+        return _reduced(*(int(v * den) for v in (a, b, c)))
 
     @staticmethod
     def through(p: RationalPoint, q: RationalPoint) -> "RationalLine":
-        if p == q:
-            raise ValueError("need two distinct points")
-        a = p[1] - q[1]
-        b = q[0] - p[0]
-        c = p[0] * q[1] - q[0] * p[1]
-        return RationalLine.normalized(a, b, c)
+        return _line_through(_key_of(p), _key_of(q))
 
     def contains(self, p: RationalPoint) -> bool:
         x, y = p
@@ -74,6 +67,27 @@ class SparseLineRep:
 
     positions: dict[int, RationalPoint]
     lines: dict[tuple[int, int], RationalLine]
+
+
+def _reduced(a: int, b: int, c: int) -> RationalLine:
+    """The line ``a*x + b*y + c = 0`` in normal form: the coefficients
+    divided by their gcd and signed so the first nonzero one is positive."""
+    g = gcd(a, b, c)
+    if (a if a else b) < 0:
+        g = -g
+    return RationalLine(a // g, b // g, c // g)
+
+
+def _line_through(p: PointKey, q: PointKey) -> RationalLine:
+    """The line through two points given by their keys: the cross product
+    of the homogeneous triples, which is zero only for equal points."""
+    x1, y1, w1 = p
+    x2, y2, w2 = q
+    a = y1 * w2 - w1 * y2
+    b = w1 * x2 - x1 * w2
+    if a == 0 and b == 0:
+        raise ValueError("need two distinct points")
+    return _reduced(a, b, x1 * y2 - y1 * x2)
 
 
 def _norm(e: tuple[int, int]) -> tuple[int, int]:
@@ -117,7 +131,9 @@ def _meets(lines: Sequence[RationalLine]) -> dict[PointKey, int]:
             w = a1 * b2 - a2 * b1
             if w == 0:
                 continue
-            key = _key(b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, w)
+            x, y = b1 * c2 - b2 * c1, a2 * c1 - a1 * c2
+            g = gcd(x, y, w) if w > 0 else -gcd(x, y, w)
+            key = (x // g, y // g, w // g)
             table[key] = table.get(key, 0) | bit_i | (1 << j)
     return table
 
@@ -163,19 +179,22 @@ def verify_sparse(
             return max(e)
         seen[lines[e]] = e
 
-    incident: dict[int, set[RationalLine]] = {v: set() for v in positions}
-    for (u, w), ln in lines.items():
-        incident[u].add(ln)
-        incident[w].add(ln)
-    for v, pos in positions.items():
-        for ln in line_seq:
-            on = ln.contains(pos)
-            if on and ln not in incident[v]:
-                return v
-            if not on and ln in incident[v]:
-                return v
+    # The lines are distinct, so a vertex's lines are its edges' indices.
+    incident = dict.fromkeys(positions, 0)
+    for i, (u, w) in enumerate(edge_order):
+        incident[u] |= 1 << i
+        incident[w] |= 1 << i
+    keys = {v: _key_of(pos) for v, pos in positions.items()}
+    coeffs = [(ln.a, ln.b, ln.c) for ln in line_seq]
+    for v, (x, y, w) in keys.items():
+        on = 0
+        for i, (a, b, c) in enumerate(coeffs):
+            if a * x + b * y + c * w == 0:
+                on |= 1 << i
+        if on != incident[v]:
+            return v
 
-    vertex_keys = {_key_of(pos): v for v, pos in positions.items()}
+    vertex_keys = {key: v for v, key in keys.items()}
     for key, mask in _meets(line_seq).items():
         through = mask.bit_count()
         if through > 4 and key in vertex_keys:
@@ -199,12 +218,12 @@ class _Drawing:
     def __init__(self, positions: dict[int, RationalPoint], edges: list[tuple[int, int]]):
         self.positions = positions
         self.edges = edges
-        self.lines = [RationalLine.through(positions[u], positions[w]) for u, w in edges]
+        self.keys = {v: _key_of(p) for v, p in positions.items()}
+        self.lines = [_line_through(self.keys[u], self.keys[w]) for u, w in edges]
         self.incident = dict.fromkeys(positions, 0)  # bitmask of each vertex's edges
         for i, (u, w) in enumerate(edges):
             self.incident[u] |= 1 << i
             self.incident[w] |= 1 << i
-        self.keys = {v: _key_of(p) for v, p in positions.items()}
         self.owner = {key: v for v, key in self.keys.items()}
         self.meets = _meets(self.lines)
         self.crowded = {key for key, mask in self.meets.items() if mask.bit_count() >= 3}
@@ -218,12 +237,12 @@ class _Drawing:
             seen.add(ln)
         # Lines are distinct now.  A vertex's own lines pass through it, so
         # any other line through it meets them there, in the mask at its key.
-        for v, pos in self.positions.items():
+        for v, (x, y, w) in self.keys.items():
             own = self.incident[v]
             if own:
-                if self.meets.get(self.keys[v], 0) & ~own:
+                if self.meets.get((x, y, w), 0) & ~own:
                     return v
-            elif any(ln.contains(pos) for ln in self.lines):
+            elif any(ln.a * x + ln.b * y + ln.c * w == 0 for ln in self.lines):
                 return v
         bad = [
             key for key in self.crowded
@@ -248,7 +267,7 @@ class _Drawing:
         self.owner[self.keys[v]] = v
         for i in moved:
             u, w = self.edges[i]
-            self.lines[i] = RationalLine.through(self.positions[u], self.positions[w])
+            self.lines[i] = _line_through(self.keys[u], self.keys[w])
         for n, i in enumerate(moved):
             for j, key in self._meets_of(i, skip=moved[n:]):
                 mask = self.meets.get(key, 0) | (1 << i) | (1 << j)

@@ -64,6 +64,15 @@ class UpdateStream:
     line_steps: list[list[RationalLine]] = field(default_factory=list)
 
 
+def _coefficient(tok: str) -> int | Fraction:
+    """A line coefficient: an ASCII integer token as an ``int``, any other
+    token as ``Fraction`` reads it."""
+    digits = tok[1:] if tok[0] in "+-" else tok
+    if digits.isascii() and digits.isdigit():
+        return int(tok)
+    return Fraction(tok)
+
+
 def parse_stream(text: str) -> UpdateStream:
     point_events: list[tuple[str, Point]] = []
     raw_lines: list[RationalLine] = []
@@ -79,7 +88,7 @@ def parse_stream(text: str) -> UpdateStream:
                     raise ValueError("coordinates must be finite")
                 point_events.append((parts[0], p))
             elif parts[0] == "line" and len(parts) == 4:
-                a, b, c = (Fraction(tok) for tok in parts[1:])
+                a, b, c = (_coefficient(tok) for tok in parts[1:])
                 raw_lines.append(RationalLine.normalized(a, b, c))
             else:
                 raise ValueError("unrecognized record")

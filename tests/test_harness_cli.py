@@ -196,6 +196,8 @@ LINE_TRIPLE = "line 1 0 0\nline 0 1 0\nline 1 1 -1\n"
          LINE_TRIPLE),
         (["run", "--stream", "STREAM", "--engine", "exact_hitting", "--epsilon", "0.9"],
          LINE_TRIPLE),
+        (["run", "--stream", "STREAM", "--engine", "greedy_hitting", "--m", "3"],
+         "line 1 --5 0\nline 0 1 0\nline 1 1 -1\n"),
         *(
             (["run", "--stream", "STREAM", "--m", "16", "--solver", "greedy",
               "--scaled", f"c_star=1,{override}"], "insert 1.0 1.0\n")
@@ -213,6 +215,7 @@ LINE_TRIPLE = "line 1 0 0\nline 0 1 0\nline 1 1 -1\n"
          "bbox-nan", "bbox-inf", "bbox-zero", "n-negative", "delete-prob-above-1",
          "delete-prob-negative", "solver-budget", "exact-maintainer-budget", "node-budget-zero", "node-budget-negative",
          "exact-maintainer-bad-options", "greedy-hitting-epsilon", "exact-hitting-epsilon",
+         "line-malformed-token",
          "grid-edge-zero", "grid-edge-inf", "grid-edge-nan", "grid-shifts-zero",
          "block-min-negative", "extend-negative",
          "scaled-empty-key", "scaled-no-value", "scaled-repeated-key", "scaled-empty-value",

@@ -2,27 +2,53 @@
 
 The ``reference_*`` functions are the ``Fraction`` versions of
 ``RationalLine.contains``, ``concurrency_census``, ``hitting_candidates``,
-``_hitting_masks`` and ``verify_sparse`` that the meet table replaced, kept
-verbatim apart from their names (and ``line_intersection``, which they
-call).  Candidate order, masks, census and both oracles' ``solve_hitting``
-output must agree on seeded random line sets rich in duplicate, parallel,
-vertical, horizontal and through-origin lines, and on every arrived prefix
-of ``gen_lines``; ``sparse_line_rep``'s incremental check must name the
-same vertex on every drawing it tries, and ``verify_sparse`` on random
-small-grid drawings.
+``_hitting_masks``, ``verify_sparse``, ``RationalLine.normalized`` and
+``RationalLine.through`` that integer code replaced, kept verbatim apart
+from their names (and ``line_intersection``, which they call).  Candidate
+order, masks, census and both oracles' ``solve_hitting`` output must agree
+on seeded random line sets rich in duplicate, parallel, vertical,
+horizontal and through-origin lines, and on every arrived prefix of
+``gen_lines``; ``sparse_line_rep``'s incremental check must name the same
+vertex on every drawing it tries, and ``verify_sparse`` on random
+small-grid drawings.  The line through two points must equal the
+reference's on random rational pairs, and ``parse_stream`` must read each
+coefficient token as ``Fraction`` does.
 """
 
 import functools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from stablecover.adversary import lines as lines_module
 from stablecover.adversary import streams
 from stablecover.adversary.lines import RationalLine, concurrency_census, verify_sparse
-from stablecover.harness_cli import gen_lines, parse_stream
+from stablecover.harness_cli import HarnessError, gen_lines, parse_stream
 from stablecover.static_solver import SolverKind
+
+
+def reference_normalized(a, b, c):
+    if a == 0 and b == 0:
+        raise ValueError("not a line: both direction coefficients are zero")
+    den = a.denominator * b.denominator * c.denominator
+    ia, ib, ic = (int(v * den) for v in (a, b, c))
+    g = gcd(gcd(abs(ia), abs(ib)), abs(ic))
+    ia, ib, ic = ia // g, ib // g, ic // g
+    lead = ia if ia != 0 else ib
+    if lead < 0:
+        ia, ib, ic = -ia, -ib, -ic
+    return RationalLine(ia, ib, ic)
+
+
+def reference_through(p, q):
+    if p == q:
+        raise ValueError("need two distinct points")
+    a = p[1] - q[1]
+    b = q[0] - p[0]
+    c = p[0] * q[1] - q[0] * p[1]
+    return reference_normalized(a, b, c)
 
 
 def reference_contains(ln, p):
@@ -339,3 +365,97 @@ def test_incremental_verdict_matches_reference_under_moves():
             x, y = rng.choice([s for s in grid if (Fraction(s[0]), Fraction(s[1])) not in taken])
             drawing.move(rng.choice(list(drawing.positions)), (Fraction(x), Fraction(y)))
     assert verdicts == {True, False}
+
+
+def random_rational(rng):
+    """Small or huge numerators, negative ones, and denominators that share
+    factors, so a pair's keys rarely have equal ``W``."""
+    scale = rng.choice((1, 1, 10**30 + 7))
+    den = rng.choice((1, 2, 3, 4, 6, 12, 97, 582, 3 * 2**40))
+    return Fraction(rng.randint(-24, 24) * scale, den)
+
+
+def random_point_pairs(count=2000, seed=17):
+    """Distinct pairs: generic, vertical, horizontal, through the origin
+    (one point a multiple of the other) and from the origin."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        p = (random_rational(rng), random_rational(rng))
+        q = (random_rational(rng), random_rational(rng))
+        kind = rng.randrange(5)
+        if kind == 1:
+            q = (p[0], q[1])
+        elif kind == 2:
+            q = (q[0], p[1])
+        elif kind == 3:
+            k = random_rational(rng)
+            q = (p[0] * k, p[1] * k)
+        elif kind == 4:
+            p = (Fraction(0), Fraction(0))
+        if p != q:
+            pairs.append((p, q))
+    return pairs
+
+
+def through_mismatches(pairs):
+    return sum(RationalLine.through(p, q) != reference_through(p, q) for p, q in pairs)
+
+
+def test_through_matches_reference(monkeypatch):
+    pairs = random_point_pairs()
+    assert through_mismatches(pairs) == 0
+    assert all(RationalLine.through(q, p) == RationalLine.through(p, q) for p, q in pairs)
+    one = (Fraction(1, 2), Fraction(-3))
+    for p, q in [(one, one), (one, (Fraction(2, 4), -3)), ((0, 0), (Fraction(0), Fraction(0)))]:
+        with pytest.raises(ValueError):
+            RationalLine.through(p, q)
+    with pytest.raises(ValueError):
+        reference_through(one, one)
+
+    # The pairs are rich enough to catch a normal form without its sign fix
+    # or without its gcd.
+    def no_sign_fix(a, b, c):
+        g = gcd(a, b, c)
+        return RationalLine(a // g, b // g, c // g)
+
+    def no_gcd(a, b, c):
+        return RationalLine(a, b, c) if (a if a else b) > 0 else RationalLine(-a, -b, -c)
+
+    for broken in (no_sign_fix, no_gcd):
+        monkeypatch.setattr(lines_module, "_reduced", broken)
+        assert through_mismatches(pairs) > 0
+
+
+# Every token below goes in each coefficient slot of BASE_ROW; a few whole
+# rows add the both-zero and sign-fix cases.  "²" is a digit to
+# ``str.isdigit`` that neither ``int`` nor ``Fraction`` reads.
+TOKENS = [
+    "05", "+5", "-0", "-12", "1/2", "-3/6", "0.5", "1e3", "1_0", "--5", "-", "٥", "²",
+    "nan", "inf", "1/0",
+]
+BASE_ROW = ["-6", "4", "10"]
+TOKEN_ROWS = [
+    "line " + " ".join(BASE_ROW[:slot] + [token] + BASE_ROW[slot + 1:])
+    for token in TOKENS for slot in range(3)
+] + ["line 0 -0 5", "line 0 -3 6", "line 6/4 -3 0", "line -0 0/7 1"]
+
+
+def reference_parse_row(raw):
+    a, b, c = (Fraction(tok) for tok in raw.split()[1:])
+    return reference_normalized(a, b, c)
+
+
+@pytest.mark.parametrize("raw", TOKEN_ROWS)
+def test_parse_stream_reads_tokens_as_fraction_does(raw):
+    text = f"{raw}\nline 1 0 0\nline 0 1 0\n"
+    try:
+        expected = reference_parse_row(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(HarnessError) as info:
+            parse_stream(text)
+        assert str(info.value) == f"malformed stream line 1: {raw!r} ({exc})"
+    else:
+        line = parse_stream(text).line_steps[0][0]
+        assert line == expected
+        assert {type(line.a), type(line.b), type(line.c)} == {int}

@@ -6,12 +6,14 @@ streams cover both SAS tolerances the tests use, the scaled pipeline up to
 greedy stream at the benchmark's scaled constants, the 2-stable baseline,
 the exact maintainer (random, half-unit lattice and lower-bound streams) and
 the hitting maintainers on line streams (greedy at m 6, 9 and 12, exact at
-m 6 and 9).  The generated line text at m 9, 12, 30 and 60 has digests of
-its own.  The CI workflow's ``python -O`` replays must check the digests
-here, and its benchmark step must run every workload at the seed
-``bench/expected.json`` records digests for.  That step's short runs reach
-only the first chunks of each workload, so a chunk from the middle and the
-last chunk of each recorded list are replayed here.
+m 6 and 9).  The generated line text at m 9, 12, 30, 60 and 120 has
+digests of its own, and so has the text of every recorded ``lines-greedy``
+benchmark chunk, whose report digests cannot see the line coefficients.
+The CI workflow's ``python -O`` replays and its paper-scale drawing must
+check the digests here, and its benchmark step must run every workload at
+the seed ``bench/expected.json`` records digests for.  That step's short
+runs reach only the first chunks of each workload, so a chunk from the
+middle and the last chunk of each recorded list are replayed here.
 """
 
 import functools
@@ -24,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from stablecover import static_solver
+from stablecover.adversary import lines as lines_module
 from stablecover.geometry import Point
 from stablecover.harness_cli import (
     RunConfig,
@@ -147,7 +150,12 @@ GEN_LINES = {
     12: "5cb50f29ef0dcbd5d639bbf4a649f684116db6f8d3860603783c1398776e3379",
     30: "4260b3d4a2a5d657b1a52f0f59e07dad9c489f9ccc6a89160c77f2034cfe2247",
     60: "957689427f8ecdd55ec9e49a9447eca0dda627f2057e04313566a68b97d789d5",
+    120: "fca732772beac1d7a63547619ad4f6009e6d339a33e50271ed22ec8ee4640fbe",
 }
+
+# One digest over the text of every recorded lines-greedy benchmark chunk,
+# in chunk order: gen_lines(9, s) at each chunk's seed s.
+BENCH_LINE_TEXT = "3582807f1bbc3033f32fe5ebb6eb12d8ceeb6feffd6a3fd3630ee94354b90e55"
 
 
 @functools.cache
@@ -194,6 +202,21 @@ def test_gen_lines_digest_unchanged(m):
 
 
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+RECORDED = json.loads((BENCH / "expected.json").read_text())
+
+
+def test_gen_lines_digest_holds_over_the_bench_chunks(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS["lines-greedy"]
+    assert workload.line_m == 9
+    text = hashlib.sha256()
+    for k in range(len(RECORDED["digests"]["lines-greedy"])):
+        seed = workload.chunk_seed(RECORDED["seed"], k)
+        text.update(("\n".join(gen_lines(9, seed)) + "\n").encode())
+    assert text.hexdigest() == BENCH_LINE_TEXT
 
 
 def _step_body(step: str) -> str:
@@ -227,6 +250,16 @@ def test_ci_replay_matches_its_case(name):
         f" --epsilon {config.epsilon} --scaled $SCALED"
     ) in body
     assert re.search(r'echo "([0-9a-f]{64})  \$report" \| sha256sum -c', body).group(1) == digest
+
+
+DRAWING_STEP = "- name: Paper-scale line drawing under -O\n"
+
+
+def test_ci_drawing_step_checks_its_digest():
+    """The step draws the m=120 stream at seed 1 and checks GEN_LINES[120]."""
+    body = _step_body(DRAWING_STEP)
+    assert "gen lines --m 120 --seed 1 --out \"$stream\"" in body
+    assert f'echo "{GEN_LINES[120]}  $stream" | sha256sum -c' in body
 
 
 LINE_STEP = "- name: Line streams under -O\n"
@@ -283,8 +316,30 @@ def test_ci_traced_bench_step_runs_every_workload_and_sees_the_oracle():
     assert "END { exit !seen }" in body
 
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-RECORDED = json.loads((BENCH / "expected.json").read_text())
+def test_bench_set_up_draws_and_parses_every_repeat(monkeypatch):
+    """Each repeat of a lines-greedy chunk's set-up draws, checks and parses
+    the stream anew: no generated or parsed stream is cached."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import measure
+    from workloads import WORKLOADS
+
+    calls = {"verify_sparse": 0, "normalized": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(lines_module, "verify_sparse", counted("verify_sparse", lines_module.verify_sparse))
+    monkeypatch.setattr(
+        lines_module.RationalLine, "normalized",
+        staticmethod(counted("normalized", lines_module.RationalLine.normalized)),
+    )
+    chunk = measure.set_up(WORKLOADS["lines-greedy"], RECORDED["seed"], 0)
+    rows = sum(len(triple) for triple in chunk.stream.line_steps)
+    assert len(chunk.setup_s) == measure.SETUP_REPEATS == 3
+    assert calls == {"verify_sparse": 3, "normalized": 3 * rows}
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED["digests"]))
