@@ -20,7 +20,6 @@ from .lines import (
     RationalPoint,
     SparseLineRep,
     SparseLineRepError,
-    concurrency_census,
     evaluate_hitting,
     sparse_line_rep,
 )
@@ -30,7 +29,6 @@ from .streams import (
     ExactMaintainer,
     GreedyHittingMaintainer,
     LineInstance,
-    NoOpMaintainer,
     ProbeError,
     adaptive_line_stream,
     build_line_instance,
@@ -46,7 +44,6 @@ __all__ = [
     "GreedyHittingMaintainer",
     "LineInstance",
     "LowerBoundStream",
-    "NoOpMaintainer",
     "ProbeError",
     "RationalLine",
     "RationalPoint",
@@ -58,7 +55,6 @@ __all__ = [
     "build_GmR",
     "build_line_instance",
     "chain_points",
-    "concurrency_census",
     "double_cover",
     "evaluate_hitting",
     "lower_bound_stream",

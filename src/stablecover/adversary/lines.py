@@ -12,9 +12,9 @@ A line ``(a, b, c)`` contains it when ``a*X + b*Y + c*W`` vanishes.  Two
 lines meet at the cross product of their coefficient triples (parallel
 lines give ``W == 0`` and meet nowhere), and the line through two points is
 the cross product of their keys.  ``_meets`` tables every pairwise meet
-under its key; the census, the sparsity check and the hitting-set
-candidates and masks are read from it.  The drawing and its checks build
-no ``Fraction`` beyond the vertex positions they return.
+under its key; the sparsity check and the hitting-set candidates and
+masks are read from it.  The drawing and its checks build no ``Fraction``
+beyond the vertex positions they return.
 """
 
 from __future__ import annotations
@@ -154,11 +154,6 @@ def _first_pair(mask: int) -> tuple[int, int]:
     low = mask & -mask
     rest = mask ^ low
     return low, rest & -rest
-
-
-def concurrency_census(lines: Sequence[RationalLine]) -> dict[RationalPoint, set[int]]:
-    """Map of every pairwise intersection point to the lines through it."""
-    return {_point_of(key): set(_indices(mask)) for key, mask in _meets(lines).items()}
 
 
 def verify_sparse(

@@ -72,19 +72,6 @@ class ExactMaintainer:
         return list(self.disks)
 
 
-class NoOpMaintainer:
-    """Never changes its disks; the churn-zero control."""
-
-    def __init__(self, m: int):
-        self.disks = pad_disks(m)
-
-    def apply(self, op: str, p: Point) -> None:
-        pass
-
-    def solution(self) -> list[UnitDisk]:
-        return list(self.disks)
-
-
 # ---------------------------------------------------------------------------
 # Line-side: the full instance bundle and the adaptive schedule.
 

@@ -18,21 +18,25 @@ than 5M.  Both phases are explicit-stack loops whose depth is bounded by
 ``m``, never by the number of masks.
 
 Candidates and masks come from one of two paths.  Called with the points,
-``solve`` builds them from scratch (:func:`candidate_disks`,
-:func:`coverage_masks`).  The engines instead keep a :class:`CandidateIndex`
-and pass it in their place: it adds and removes one point's candidates per
-event, and gives the same candidates in the same order with the same masks
-up to a relabelling of the bits, so the solve returns the same result.
-The replay harness keeps calling the from-scratch path, which makes its
-re-solve an independent check on the index.
+``solve`` builds them from scratch in one table (:func:`_candidate_table`):
+the candidate centers in :func:`candidate_disks` order and their masks, as
+:func:`coverage_masks` gives them over the sorted points, and it makes
+disks only for the candidates the solution picks.  The engines instead keep
+a :class:`CandidateIndex` and pass it in their place: it adds and removes
+one point's candidates per event, and gives the same candidates in the same
+order with the same masks up to a relabelling of the bits, so the solve
+returns the same result.  The replay harness keeps calling the from-scratch
+path, which makes its re-solve an independent check on the index.
 
 Both paths find neighbours through the grid of 2x2 buckets in
-:mod:`stablecover.geometry`: the from-scratch path builds one per call, the
-index keeps one for its points and one for its centers.  Every window is
-``geometry.near`` and every mask bit comes from ``geometry.covered_bits``,
-so a bit means what ``covers`` says on either path.  The one other probe,
-the pair scan of :func:`candidate_disks`, is a forward half-window over the
-same buckets.  The from-scratch path never reads the index.
+:mod:`stablecover.geometry`: the from-scratch table files the points in one
+per call, the index keeps one for its points and one for its centers.  The
+table's pair scan is a forward half-window over the buckets; each pair at
+distance <= 2 gives its circle centers, and a point disk's mask takes the
+partner's bit when ``geometry.covered_bits`` accepts it.  Every other mask
+is the ``covered_bits`` of a ``geometry.near`` window, so a bit means what
+``covers`` says on either path.  The from-scratch path never reads the
+index.
 """
 
 from __future__ import annotations
@@ -67,23 +71,24 @@ class Solution:
 
     ``pick`` returns the chosen candidate indices; for the exact oracle it
     runs the extraction phase, which may raise :class:`SolverBudgetError`.
-    The disks are the picked candidates padded to ``m`` with point-free disks;
-    the assignment walks the points in sorted order.
+    ``disk_of`` gives a candidate's disk.  The disks are the picked
+    candidates padded to ``m`` with point-free disks; the assignment walks
+    the points in sorted order.
     """
 
     def __init__(
         self,
         value: int,
         points: Collection[Point],
-        candidates: list[UnitDisk],
         m: int,
         pick: Callable[[], list[int]],
+        disk_of: Callable[[int], UnitDisk],
     ) -> None:
         self.value = value
         self._points = points
-        self._candidates = candidates
         self._m = m
         self._pick = pick
+        self._disk_of = disk_of
         self._built: tuple[list[UnitDisk], Assignment] | None = None
 
     @property
@@ -96,7 +101,7 @@ class Solution:
 
     def _build(self) -> tuple[list[UnitDisk], Assignment]:
         if self._built is None:
-            disks = [self._candidates[i] for i in self._pick()]
+            disks = [self._disk_of(i) for i in self._pick()]
             if len(disks) < self._m:
                 min_y = min((p.y for p in self._points), default=0.0)
                 disks += pad_disks(self._m - len(disks), min_y)
@@ -127,43 +132,58 @@ def candidate_disks(points: Iterable[Point]) -> list[UnitDisk]:
     One disk centered at each point, plus for every pair at distance <= 2 the
     one or two unit circles through both points.  Output is deduplicated and
     deterministic (sorted points, then sorted pairs, plus-normal circle first).
+    The centers are :func:`_candidate_table`'s.
+    """
+    return [UnitDisk(c) for c in _candidate_table(sorted(set(points)))[0]]
 
+
+def _candidate_table(pts: list[Point]) -> tuple[list[Point], list[int]]:
+    """The candidate centers of sorted, distinct ``pts`` in
+    :func:`candidate_disks` order, and their masks with bit ``i`` for
+    ``pts[i]``: what ``coverage_masks(pts, ...)`` gives their disks.
+
+    The points are filed once, in one :func:`~stablecover.geometry.bit_grid`.
     A pair is tested only when its points' 2x2 buckets are equal or
     neighbours: each occupied bucket is scanned against itself and its four
-    forward neighbours, so each neighbouring pair of buckets once.
+    forward neighbours, so each neighbouring pair of buckets once.  A point
+    disk's mask is its own bit plus, for each pair at distance <= 2, the
+    partner's bit when ``covered_bits`` accepts it; ``covers`` negates both
+    differences for the other point, so one test serves both, and every
+    point it accepts is in such a pair.  The circle centers' masks are the
+    grid's :func:`_window_masks`.
     """
-    pts = sorted(set(points))
-    out = [UnitDisk(p) for p in pts]
-    seen = set(pts)
-
-    # The geometry grid's layout, with (index, x, y) entries.
-    grid: Grid = {}
-    for i, p in enumerate(pts):
-        bx, by = bucket(p)
-        grid.setdefault(bx, {}).setdefault(by, []).append((i, p.x, p.y))
-    pairs = []
+    grid = bit_grid(pts)
+    pairs = []  # (bit, partner bit, point, partner), the lower bit first
     for bx, col in grid.items():
         ahead = grid.get(bx + 1, {})
         for by, own in col.items():
-            for k, (i, x, y) in enumerate(own, start=1):
-                for j, qx, qy in own[k:]:
-                    if (x - qx) ** 2 + (y - qy) ** 2 <= 4.0:
-                        pairs.append((i, j))
+            for k, (p, bit) in enumerate(own, start=1):
+                x, y = p
+                for q, qbit in own[k:]:
+                    if (x - q.x) ** 2 + (y - q.y) ** 2 <= 4.0:
+                        pairs.append((bit, qbit, p, q))
             for other in (col.get(by + 1), ahead.get(by - 1), ahead.get(by), ahead.get(by + 1)):
                 if other is None:
                     continue
-                for i, x, y in own:
-                    for j, qx, qy in other:
-                        if (x - qx) ** 2 + (y - qy) ** 2 <= 4.0:
-                            pairs.append((i, j) if i < j else (j, i))
+                for p, bit in own:
+                    x, y = p
+                    for q, qbit in other:
+                        if (x - q.x) ** 2 + (y - q.y) ** 2 <= 4.0:
+                            pairs.append((bit, qbit, p, q) if bit < qbit else (qbit, bit, q, p))
     pairs.sort()
 
-    for i, j in pairs:
-        for center in _circles_through(pts[i], pts[j]):
+    centers = list(pts)
+    masks = [1 << i for i in range(len(pts))]
+    seen = set(pts)
+    for bit, qbit, p, q in pairs:
+        if covered_bits(p, [(q, qbit)]):
+            masks[bit.bit_length() - 1] |= qbit
+            masks[qbit.bit_length() - 1] |= bit
+        for center in _circles_through(p, q):
             if center not in seen:
                 seen.add(center)
-                out.append(UnitDisk(center))
-    return out
+                centers.append(center)
+    return centers, masks + _window_masks(grid, centers[len(pts):])
 
 
 def _circles_through(p: Point, q: Point) -> list[Point]:
@@ -200,19 +220,23 @@ def _circles_through(p: Point, q: Point) -> list[Point]:
 def coverage_masks(points: Iterable[Point], disks: list[UnitDisk]) -> list[int]:
     """Bitmask over ``points`` of what each disk covers.
 
-    The points go into one :func:`~stablecover.geometry.bit_grid`; a disk's
-    mask is the ``covered_bits`` of its ``near`` window, which is built once
-    per bucket and shared by every center in it.
+    The points go into one :func:`~stablecover.geometry.bit_grid`, and the
+    masks are its :func:`_window_masks` at the disks' centers.
     """
-    grid = bit_grid(points)
+    return _window_masks(bit_grid(points), [d.center for d in disks])
+
+
+def _window_masks(grid: Grid, centers: Iterable[Point]) -> list[int]:
+    """The ``covered_bits`` of each center's ``near`` window in ``grid``; a
+    window is built once per bucket and shared by every center in it."""
     windows: dict[tuple[int, int], list] = {}
     masks = []
-    for d in disks:
-        key = bucket(d.center)
+    for c in centers:
+        key = bucket(c)
         window = windows.get(key)
         if window is None:
             window = windows[key] = near(grid, key)
-        masks.append(covered_bits(d.center, window))
+        masks.append(covered_bits(c, window))
     return masks
 
 
@@ -498,11 +522,12 @@ def solve(
     if isinstance(points_or_index, CandidateIndex):
         pts = list(points_or_index.points)
         cands, masks = points_or_index.candidates()
+        disk_of = cands.__getitem__
     else:
-        # Deduped here and sorted once, inside candidate_disks; the mask bits
-        # follow the set's order, which no result depends on.
-        pts = set(points_or_index)
-        cands = candidate_disks(pts)
-        masks = coverage_masks(pts, cands)
+        pts = sorted(set(points_or_index))
+        centers, masks = _candidate_table(pts)
+
+        def disk_of(i: int) -> UnitDisk:
+            return UnitDisk(centers[i])
     value, pick = max_coverage_masks(masks, m, kind, node_budget)
-    return Solution(value, pts, cands, m, pick)
+    return Solution(value, pts, m, pick, disk_of)

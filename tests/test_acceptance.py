@@ -10,12 +10,11 @@ import random
 import time
 
 import pytest
-from test_adversary import is_bipartite_lr, line_list, side_rep
+from test_adversary import concurrency_census, is_bipartite_lr, line_list, side_rep
 
 from stablecover.adversary import (
     ExactMaintainer,
     build_line_instance,
-    concurrency_census,
     double_cover,
     evaluate_hitting,
     lower_bound_stream,

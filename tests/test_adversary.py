@@ -8,13 +8,11 @@ from stablecover.adversary import (
     ExactHittingMaintainer,
     ExactMaintainer,
     GreedyHittingMaintainer,
-    NoOpMaintainer,
     ProbeError,
     adaptive_line_stream,
     build_GmL,
     build_line_instance,
     chain_points,
-    concurrency_census,
     double_cover,
     evaluate_hitting,
     lower_bound_stream,
@@ -29,13 +27,36 @@ from stablecover.adversary.lines import (
     RationalLine,
     SparseLineRep,
     SparseLineRepError,
+    _indices,
+    _meets,
+    _point_of,
     verify_sparse,
 )
 from stablecover.adversary.streams import disk_churn
 from stablecover.geometry import Point
 from stablecover.harness_cli import RunConfig, gen_lines, parse_stream, run_lines, run_points
 from stablecover.sas_engine import StreamError
-from stablecover.static_solver import DEFAULT_NODE_BUDGET, SolverBudgetError, SolverKind, solve
+from stablecover.static_solver import (
+    DEFAULT_NODE_BUDGET, SolverBudgetError, SolverKind, pad_disks, solve,
+)
+
+
+class NoOpMaintainer:
+    """Never changes its disks; the churn-zero control."""
+
+    def __init__(self, m: int):
+        self.disks = pad_disks(m)
+
+    def apply(self, op: str, p: Point) -> None:
+        pass
+
+    def solution(self):
+        return list(self.disks)
+
+
+def concurrency_census(lines):
+    """Map of every pairwise intersection point to the lines through it."""
+    return {_point_of(key): set(_indices(mask)) for key, mask in _meets(lines).items()}
 
 
 def line_list(rep):

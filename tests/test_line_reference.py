@@ -1,7 +1,8 @@
 """Integer line incidence against the ``Fraction`` reference it replaced.
 
 The ``reference_*`` functions are the ``Fraction`` versions of
-``RationalLine.contains``, ``concurrency_census``, ``hitting_candidates``,
+``RationalLine.contains``, ``concurrency_census`` (the tests' census over
+``_meets``, in ``test_adversary``), ``hitting_candidates``,
 ``_hitting_masks``, ``verify_sparse``, ``RationalLine.normalized`` and
 ``RationalLine.through`` that integer code replaced, kept verbatim apart
 from their names (and ``line_intersection``, which they call).  Candidate
@@ -21,10 +22,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from test_adversary import concurrency_census
 
 from stablecover.adversary import lines as lines_module
 from stablecover.adversary import streams
-from stablecover.adversary.lines import RationalLine, concurrency_census, verify_sparse
+from stablecover.adversary.lines import RationalLine, verify_sparse
 from stablecover.harness_cli import HarnessError, gen_lines, parse_stream
 from stablecover.static_solver import SolverKind
 

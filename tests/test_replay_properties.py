@@ -180,16 +180,24 @@ def test_candidate_index_matches_scratch(events, m):
     assert not index._point_buckets and not index._center_buckets
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(events=index_streams(), m=st.integers(1, 4), kind=st.sampled_from(list(SolverKind)))
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    events=st.one_of(index_streams(), point_streams()),
+    m=st.integers(1, 4),
+    kind=st.sampled_from(list(SolverKind)),
+)
 @example(events=SHARED_CENTER[:5], m=2, kind=SolverKind.EXACT)
 def test_solve_of_an_index_matches_solve_of_its_points(events, m, kind):
+    """The kept index, an index built from the live points and the
+    from-scratch table give the same solution after every event."""
     index = CandidateIndex()
     for op, p in events:
         if op == "insert":
             index.add(p)
         else:
             index.remove(p)
-        by_index, by_points = solve(index, m, kind), solve(set(index.points), m, kind)
-        assert by_index.value == by_points.value
-        assert by_index.disks == by_points.disks
+        by_points = solve(set(index.points), m, kind)
+        for by_index in (solve(index, m, kind), solve(CandidateIndex(index.points), m, kind)):
+            assert by_index.value == by_points.value
+            assert by_index.disks == by_points.disks
+            assert by_index.assignment == by_points.assignment

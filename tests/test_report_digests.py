@@ -13,7 +13,9 @@ The CI workflow's ``python -O`` replays and its paper-scale drawing must
 check the digests here, and its benchmark step must run every workload at
 the seed ``bench/expected.json`` records digests for.  That step's short
 runs reach only the first chunks of each workload, so a chunk from the
-middle and the last chunk of each recorded list are replayed here.
+middle and the last chunk of each recorded list are replayed here, and a
+second CI step replays every recorded chunk; its script is run here over
+the first two chunks of each workload.
 """
 
 import functools
@@ -21,6 +23,7 @@ import hashlib
 import json
 import random
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -195,6 +198,22 @@ def test_line_resolve_never_extracts(name, per_triple, monkeypatch):
     assert len(extractions) == per_triple * len(stream.line_steps)
 
 
+@pytest.mark.parametrize("name", ["exact-maintainer-random", "sas-greedy-sparse"])
+def test_point_resolve_builds_one_table(name, monkeypatch):
+    """The harness's from-scratch re-solve builds its candidates and masks in
+    one table: with ``candidate_disks`` and ``coverage_masks`` raising, the
+    replay keeps its digest."""
+
+    def refused(*args):
+        raise AssertionError("the re-solve builds its own table")
+
+    monkeypatch.setattr(static_solver, "candidate_disks", refused)
+    monkeypatch.setattr(static_solver, "coverage_masks", refused)
+    config, rows, digest = CASES[name]
+    report = run(config, parse_stream("\n".join(rows) + "\n"))
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("m", sorted(GEN_LINES))
 def test_gen_lines_digest_unchanged(m):
     text = "\n".join(gen_lines(m, seed=1)) + "\n"
@@ -314,6 +333,42 @@ def test_ci_traced_bench_step_runs_every_workload_and_sees_the_oracle():
     assert f'python bench/run.py --workload "$workload" --seed {seed} --seconds 1 --trace 1' in body
     assert '$1 == "static_solver.max_coverage_masks.calls" { seen = $2 > 0 }' in body
     assert "END { exit !seen }" in body
+
+
+ALL_CHUNKS_STEP = "- name: Every recorded benchmark chunk replays to its digest\n"
+
+
+@pytest.mark.parametrize("altered", [None, "sas-greedy-sparse"])
+def test_ci_all_chunks_step_replays_expected_json(altered, monkeypatch, tmp_path, capsys):
+    """The step's script replays every chunk ``bench/expected.json`` records,
+    for every workload of the benchmark, and fails on a digest that differs.
+    Here it runs over the first two recorded chunks of each workload, one of
+    them altered in the second case."""
+    _, seed = _bench_step(BENCH_STEP)
+    assert RECORDED["seed"] == seed
+    workloads = json.loads((WORKFLOW.parents[2] / "BENCHMARK.json").read_text())["workloads"]
+    assert sorted(RECORDED["digests"]) == sorted(w["name"] for w in workloads)
+    head, script = textwrap.dedent(_step_body(ALL_CHUNKS_STEP).split("run: |\n", 1)[1]).split("\n", 1)
+    assert head == "PYTHONPATH=src:bench python - <<'EOF'"
+    script = script.rsplit("EOF", 1)[0]
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    import measure
+
+    assert measure.EXPECTED == BENCH / "expected.json"
+    trimmed = {name: digests[:2] for name, digests in RECORDED["digests"].items()}
+    if altered:
+        trimmed[altered][1] = "0" * 64
+    expected = tmp_path / "expected.json"
+    expected.write_text(json.dumps({"seed": RECORDED["seed"], "digests": trimmed}))
+    monkeypatch.setattr(measure, "EXPECTED", expected)
+    with pytest.raises(SystemExit) as exit_:
+        exec(script, {})
+    out = capsys.readouterr().out
+    assert exit_.value.code == (1 if altered else 0)
+    assert (f"{altered} chunk 1: digest differs" in out) == bool(altered)
+    for name in trimmed:
+        assert f"{name}: 2 chunks" in out
 
 
 def test_bench_set_up_draws_and_parses_every_repeat(monkeypatch):

@@ -1,12 +1,16 @@
 """The harness's from-scratch candidates, masks and recount against references.
 
-``candidate_disks``, ``coverage_masks`` and ``coverage_value`` find
-neighbours through 2x2-bucket neighbour lists.  The ``reference_*``
-functions below are direct versions: a 9-bucket probe per point for the
-pairs, and a ``covers`` call per point and disk for the masks and the
-recount.  Every output must be equal: the same disks in the same order, the
-same masks bit for bit and the same counts, and the recount must be the
-popcount of the masks' union.
+``candidate_disks``, ``coverage_masks``, ``coverage_value`` and the table
+that ``solve`` builds from points, ``_candidate_table``, find neighbours
+through 2x2-bucket neighbour lists.  The ``reference_*`` functions below
+are direct versions: a 9-bucket probe per point for the pairs, and a
+``covers`` call per point and disk for the masks and the recount.  Every
+output must be equal: the same disks in the same order, the same masks bit
+for bit and the same counts, and the recount must be the popcount of the
+masks' union.  The table must give the reference centers and the reference
+masks of the sorted, deduplicated points, on every named set and on
+generated sets with duplicates, pairs exactly 1 and exactly 2 apart, points
+on bucket edges and negative coordinates.
 
 The sets cover uniform floats in boxes of side 2 to 60, a half-unit lattice,
 pairs exactly 2 apart, negative and large coordinates, empty and one-point
@@ -24,10 +28,13 @@ import random
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablecover.geometry import Point, UnitDisk, covers, coverage_value
 from stablecover.static_solver import (
     CandidateIndex,
+    _candidate_table,
     _circles_through,
     candidate_disks,
     coverage_masks,
@@ -192,6 +199,56 @@ def test_coverage_value_matches_reference(name):
             assert coverage_value(pts, disks) == reference_coverage_value(pts, disks)
     assert coverage_value(pts, cands) == reference_coverage_value(pts, cands)
     assert coverage_value(pts, []) == 0
+
+
+def assert_table_matches_reference(points):
+    pts = sorted(set(points))
+    ref = reference_candidate_disks(points)
+    centers, masks = _candidate_table(pts)
+    assert centers == [d.center for d in ref]
+    assert masks == reference_coverage_masks(pts, ref)
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_candidate_table_matches_reference(name):
+    assert_table_matches_reference(SETS[name])
+
+
+# Coordinates on the quarter-unit lattice (the 2x2 bucket edges among them),
+# an ulp either side of an integer, or anywhere in a box round the origin.
+EDGE_SPOTS = sorted({
+    s for k in range(-5, 6)
+    for s in (float(k), math.nextafter(float(k), -math.inf), math.nextafter(float(k), math.inf))
+})
+COORDS = st.one_of(
+    st.integers(-24, 24).map(lambda k: k / 4),
+    st.sampled_from(EDGE_SPOTS),
+    st.floats(-6.0, 6.0, allow_nan=False),
+)
+# Partner offsets: exactly 1 and exactly 2 apart along an axis from a
+# lattice point, and about 1 or 2 apart on a diagonal.
+OFFSETS = st.sampled_from(
+    [(1.0, 0.0), (0.0, -1.0), (2.0, 0.0), (0.0, 2.0), (-2.0, 0.0), (0.6, 0.8), (1.2, -1.6)]
+)
+
+
+@st.composite
+def point_sets(draw):
+    """Points with partners at the offsets, and some of them twice."""
+    pts = draw(st.lists(st.builds(Point, COORDS, COORDS), max_size=20))
+    for _ in range(draw(st.integers(0, 10))):
+        x, y = draw(st.integers(-24, 24)) / 4, draw(st.integers(-24, 24)) / 4
+        dx, dy = draw(OFFSETS)
+        pts += [Point(x, y), Point(x + dx, y + dy)]
+    if pts:
+        pts += draw(st.lists(st.sampled_from(pts), max_size=5))
+    return pts
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(points=point_sets())
+def test_candidate_table_matches_reference_on_generated_sets(points):
+    assert_table_matches_reference(points)
 
 
 def _relabelled(index: CandidateIndex) -> tuple[list[UnitDisk], list[int]]:
