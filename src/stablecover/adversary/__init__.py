@@ -28,6 +28,7 @@ from .streams import (
     ExactHittingMaintainer,
     ExactMaintainer,
     GreedyHittingMaintainer,
+    HittingTable,
     LineInstance,
     ProbeError,
     adaptive_line_stream,
@@ -42,6 +43,7 @@ __all__ = [
     "ExactMaintainer",
     "ExtendedGraph",
     "GreedyHittingMaintainer",
+    "HittingTable",
     "LineInstance",
     "LowerBoundStream",
     "ProbeError",

@@ -5,6 +5,12 @@ the schedule probes the algorithm's current points and finishes on whichever
 side the algorithm has neglected.  The maintainers here are replayed and their
 churn measured by the harness's replay loops (:mod:`stablecover.harness_cli`),
 which recount every figure rather than read it from the algorithm.
+
+The hitting maintainers keep an append-only :class:`HittingTable` of candidate
+points and line masks across triples, as the point maintainers keep a
+:class:`~stablecover.static_solver.CandidateIndex`; :func:`solve_hitting`
+takes either the table or a line list, whose table it builds from scratch.
+The harness re-solves from the arrived lines, so its table checks the kept one.
 """
 
 from __future__ import annotations
@@ -12,6 +18,9 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd
+from operator import itemgetter
 
 # disk_churn is re-exported: callers and the benchmark's spans find it here.
 from ..geometry import Point, UnitDisk, disk_churn  # noqa: F401
@@ -160,13 +169,20 @@ def _candidate_table(lines: Sequence[RationalLine]) -> dict[PointKey, int]:
     The meets come first; then each line's own point (on the y-axis, or on
     the x-axis for a vertical line) joins in line order.  An own point that is
     no meet lies on no other line but the line's duplicates, whose bits it
-    collects; one that is a meet already holds the line's bit.
+    collects; one that is a meet already holds the line's bit.  A
+    :class:`HittingTable` keeps the same table as lines arrive.
     """
     table = _meets(lines)
     for i, ln in enumerate(lines):
-        key = _key(0, -ln.c, ln.b) if ln.b != 0 else _key(-ln.c, 0, ln.a)
+        key = _own_key(ln)
         table[key] = table.get(key, 0) | (1 << i)
     return table
+
+
+def _own_key(ln: RationalLine) -> PointKey:
+    """The key of a line's own point: on the y-axis, or on the x-axis for a
+    vertical line."""
+    return _key(0, -ln.c, ln.b) if ln.b != 0 else _key(-ln.c, 0, ln.a)
 
 
 class HittingCandidates(Sequence):
@@ -179,9 +195,9 @@ class HittingCandidates(Sequence):
 
     __slots__ = ("_keys", "masks")
 
-    def __init__(self, table: dict[PointKey, int]):
-        self._keys = list(table)
-        self.masks = list(table.values())
+    def __init__(self, keys: list[PointKey], masks: list[int]):
+        self._keys = keys
+        self.masks = masks
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -198,7 +214,8 @@ class HittingCandidates(Sequence):
 def hitting_candidates(lines: Sequence[RationalLine]) -> HittingCandidates:
     """Pairwise intersections plus one canonical point per line, deduplicated,
     in first-seen order, read from one candidate table."""
-    return HittingCandidates(_candidate_table(lines))
+    table = _candidate_table(lines)
+    return HittingCandidates(list(table), list(table.values()))
 
 
 def _hitting_masks(lines: Sequence[RationalLine], cands: HittingCandidates) -> list[int]:
@@ -206,6 +223,98 @@ def _hitting_masks(lines: Sequence[RationalLine], cands: HittingCandidates) -> l
     ``cands`` was built from; ``cands`` must come from
     :func:`hitting_candidates` over ``lines``."""
     return cands.masks
+
+
+class HittingTable:
+    """The candidate table of a growing line list, kept across triples.
+
+    :meth:`candidates` reads the keys, order and masks of
+    ``_candidate_table(lines)``.  That order is first-seen ``(i, j)`` pair
+    order, then the own points that are no meet, so the meets sit in one
+    block per line: line ``i``'s block holds the meets first seen at a pair
+    ``(i, j)``, by ``j``.  A meet's first pair never changes once it is a
+    meet, so a new line ``n`` only appends: its meet with line ``i`` goes at
+    the end of line ``i``'s block when no earlier pair gave that point, and an
+    own point the meet falls on leaves the own-point tail for that block.
+    """
+
+    def __init__(self, lines: Sequence[RationalLine] = ()):
+        self.lines: list[RationalLine] = []
+        self._coeffs: list[tuple[int, int, int]] = []
+        self._blocks: list[list[PointKey]] = []
+        self._own: dict[PointKey, int] = {}  # own points that are no meet: first line
+        self._mask: dict[PointKey, int] = {}
+        self.extend(lines)
+
+    def candidates(self) -> HittingCandidates:
+        keys = [*chain.from_iterable(self._blocks), *self._own]
+        return HittingCandidates(keys, list(map(self._mask.__getitem__, keys)))
+
+    def extend(self, triple: Sequence[RationalLine]) -> list[tuple]:
+        """Append the lines (a triple, or any number) and return the undo log
+        that :meth:`undo` takes.
+
+        Each new line's meets with every earlier line are keyed as ``_meets``
+        keys them, then its own point joins.
+        """
+        log: list[tuple] = [("lines", len(self.lines))]
+        mask_of, own, blocks = self._mask, self._own, self._blocks
+        for ln in triple:
+            n = len(self.lines)
+            a2, b2, c2 = ln.a, ln.b, ln.c
+            bit_n = 1 << n
+            for i, (a1, b1, c1) in enumerate(self._coeffs):
+                w = a1 * b2 - a2 * b1
+                if w == 0:
+                    continue
+                x, y = b1 * c2 - b2 * c1, a2 * c1 - a1 * c2
+                g = gcd(x, y, w) if w > 0 else -gcd(x, y, w)
+                key = (x // g, y // g, w // g)
+                old = mask_of.get(key)
+                log.append(("mask", key, old))
+                mask_of[key] = (old or 0) | (1 << i) | bit_n
+                if old is None or key in own:
+                    # First seen at (i, n): every earlier line through the
+                    # point is a copy of line i, the lowest of them.
+                    if old is not None:
+                        log.append(("own", key, own.pop(key)))
+                    blocks[i].append(key)
+                    log.append(("block", i))
+            self.lines.append(ln)
+            self._coeffs.append((a2, b2, c2))
+            blocks.append([])
+            key = _own_key(ln)
+            old = mask_of.get(key)
+            log.append(("mask", key, old))
+            mask_of[key] = (old or 0) | bit_n
+            if old is None:
+                own[key] = n
+                log.append(("own", key, None))
+        return log
+
+    def undo(self, log: list[tuple]) -> None:
+        """Take back the :meth:`extend` that returned ``log``, the last one."""
+        mask_of, own = self._mask, self._own
+        for kind, *args in reversed(log):
+            if kind == "mask":
+                key, old = args
+                if old is None:
+                    del mask_of[key]
+                else:
+                    mask_of[key] = old
+            elif kind == "block":
+                self._blocks[args[0]].pop()
+            elif kind == "own":
+                key, first = args
+                if first is None:
+                    del own[key]
+                else:
+                    own[key] = first
+            else:
+                n = args[0]
+                del self.lines[n:], self._coeffs[n:], self._blocks[n:]
+        # A promoted own point goes back to its place in the tail.
+        self._own = dict(sorted(own.items(), key=itemgetter(1)))
 
 
 def _far_point(index: int, lines: Sequence[RationalLine]) -> RationalPoint:
@@ -217,21 +326,33 @@ def _far_point(index: int, lines: Sequence[RationalLine]) -> RationalPoint:
 
 
 def solve_hitting(
-    lines: Sequence[RationalLine], m: int, kind: SolverKind = SolverKind.EXACT
+    lines_or_table: Sequence[RationalLine] | HittingTable,
+    m: int,
+    kind: SolverKind = SolverKind.EXACT,
 ) -> tuple[int, Callable[[], list[RationalPoint]]]:
     """Most lines stabbed by m points under the given oracle, which
     :func:`~stablecover.static_solver.max_coverage_masks` runs: the value now,
     and ``points()`` for the m points.
 
-    One call builds one candidate table and reads the masks from it.  Only
-    ``points()`` runs the oracle's ``pick()`` (the exact extraction, under the
-    same node budget) and makes rational points for the chosen candidates (at
-    most m), padded with far points.
+    Given a :class:`HittingTable`, the solve reads its lines, candidates and
+    masks from it; given lines, it builds one candidate table from scratch
+    and reads the masks from it.  Only ``points()`` runs the oracle's
+    ``pick()`` (the exact extraction, under the same node budget) and makes
+    rational points for the chosen candidates (at most m), padded with far
+    points.
     """
+    table = lines_or_table if isinstance(lines_or_table, HittingTable) else None
+    # A copy of the table's lines: points() pads against the lines solved.
+    lines = list(table.lines) if table is not None else lines_or_table
     if not lines:
         return 0, lambda: [_far_point(i, lines) for i in range(m)]
-    cands = hitting_candidates(lines)
-    value, pick = max_coverage_masks(_hitting_masks(lines, cands), m, kind)
+    if table is not None:
+        cands = table.candidates()
+        masks = cands.masks
+    else:
+        cands = hitting_candidates(lines)
+        masks = _hitting_masks(lines, cands)
+    value, pick = max_coverage_masks(masks, m, kind)
 
     def points() -> list[RationalPoint]:
         pts = [cands[i] for i in pick()]
@@ -243,23 +364,31 @@ def solve_hitting(
 class ExactHittingMaintainer:
     """m points stabbing the most arrived lines, re-solved exactly per triple.
 
-    A triple applies fully or not at all: if the solve or the extraction of
-    its points raises (say, out of its node budget), the lines and the points
-    stay as they were.
+    The candidates come from a :class:`HittingTable` kept across triples.  A
+    triple applies fully or not at all: if the solve or the extraction of its
+    points raises (say, out of its node budget), the table's extension is
+    undone and the lines and the points stay as they were.
     """
 
     kind = SolverKind.EXACT
 
     def __init__(self, m: int):
         self.m = m
-        self.lines: list[RationalLine] = []
+        self.table = HittingTable()
         self.points: list[RationalPoint] = [_far_point(i, []) for i in range(m)]
 
+    @property
+    def lines(self) -> list[RationalLine]:
+        return self.table.lines
+
     def apply_triple(self, triple: Sequence[RationalLine]) -> None:
-        lines = self.lines + list(triple)
-        _, points = solve_hitting(lines, self.m, self.kind)
-        # points() may raise; the tuple is built before either name is bound.
-        self.lines, self.points = lines, points()
+        log = self.table.extend(triple)
+        try:
+            _, points = solve_hitting(self.table, self.m, self.kind)
+            self.points = points()
+        except BaseException:
+            self.table.undo(log)
+            raise
 
     def solution(self) -> list[RationalPoint]:
         return list(self.points)

@@ -265,8 +265,10 @@ def run_lines(
 
     The algorithm's value is recounted by ``evaluate_hitting``, a direct
     ``contains`` test per line and point that shares no code with the meet
-    table behind the engines' masks (and this loop's own re-solve), so a
-    wrong mask cannot confirm itself.
+    tables behind the masks, so a wrong mask cannot confirm itself.  The
+    engines read the append-only table they keep across triples; this loop
+    re-solves every row from the arrived lines with a from-scratch table,
+    which checks theirs.
     """
     m = config.m
     engine = None

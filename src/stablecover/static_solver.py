@@ -191,7 +191,10 @@ def _circles_through(p: Point, q: Point) -> list[Point]:
 
     The half-distance term is clamped at 1 so near-tangent pairs cannot produce
     a NaN, and the perpendicular offset is pulled in by at most a few ulps so
-    that ``covers`` holds exactly for both defining points.
+    that ``covers`` holds for both defining points, except when the offset is
+    zero.  A pair exactly 2 apart in doubles, such as (0.3, 2.2) and (1.9, 1),
+    has no offset to pull in: both centers are the rounded midpoint, and
+    ``covers`` may reject one of the points.
     """
     mx = (p.x + q.x) / 2.0
     my = (p.y + q.y) / 2.0
@@ -212,7 +215,7 @@ def _circles_through(p: Point, q: Point) -> list[Point]:
                 centers.append(c)
                 break
             scale *= 1.0 - 1e-12
-        else:  # pragma: no cover - would need absurd rounding
+        else:  # no pull moved a zero offset: the midpoint, which may miss p or q
             centers.append(Point(mx, my))
     return centers
 

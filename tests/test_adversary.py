@@ -414,6 +414,8 @@ def test_hitting_maintainer_triple_out_of_budget_changes_nothing(cls, module, fa
         with pytest.raises(SolverBudgetError):
             mt.apply_triple(triples[3])
     assert mt.lines == lines and mt.solution() == points
+    cands = mt.table.candidates()
+    assert list(zip(cands._keys, cands.masks)) == list(streams._candidate_table(mt.lines).items())
     mt.apply_triple(triples[3])
     clean.apply_triple(triples[3])
     assert mt.lines == clean.lines and mt.solution() == clean.solution()

@@ -14,6 +14,11 @@ vertex on every drawing it tries, and ``verify_sparse`` on random
 small-grid drawings.  The line through two points must equal the
 reference's on random rational pairs, and ``parse_stream`` must read each
 coefficient token as ``Fraction`` does.
+
+The engines' ``HittingTable`` is checked against ``_candidate_table``, so
+against the reference through it: after every triple it must read the same
+keys, order and masks as the from-scratch table of the arrived lines, and
+undoing the triple must give back the table before it.
 """
 
 import functools
@@ -22,6 +27,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_adversary import concurrency_census
 
 from stablecover.adversary import lines as lines_module
@@ -275,6 +282,106 @@ def test_solve_hitting_matches_reference(kind, monkeypatch):
     assert got == [solved(lines, m) for m, lines in runs]
     # A solve that bypassed either seam would not have read the reference.
     assert calls == {"hitting_candidates": len(runs), "_hitting_masks": len(runs)}
+
+
+def assert_reads_candidate_table(table, lines):
+    """The table reads the keys, order and masks of the from-scratch table."""
+    cands = table.candidates()
+    assert list(zip(cands._keys, cands.masks)) == list(streams._candidate_table(lines).items())
+
+
+def assert_table_tracks(triples):
+    """Extend a table triple by triple; after each, the table must read the
+    arrived lines' table, and undoing the triple must give back the last."""
+    table = streams.HittingTable()
+    arrived = []
+    for triple in triples:
+        log = table.extend(triple)
+        assert_reads_candidate_table(table, arrived + list(triple))
+        table.undo(log)
+        assert table.lines == arrived
+        assert_reads_candidate_table(table, arrived)
+        table.extend(triple)
+        arrived += triple
+
+
+def in_triples(lines):
+    return [lines[k:k + 3] for k in range(0, len(lines), 3)]
+
+
+def test_table_tracks_reference_cases():
+    for _, lines, _, _ in reference_cases():
+        assert_table_tracks(in_triples(lines))
+
+
+@pytest.mark.parametrize("m", [9, 12])
+def test_table_tracks_every_gen_lines_prefix(m):
+    for seed in (1, 2, 3):
+        assert_table_tracks(parse_stream("\n".join(gen_lines(m, seed)) + "\n").line_steps)
+
+
+def test_promoted_own_point_moves_into_its_block():
+    # y = 1 and x = 2 meet at (2, 1); their own points (0, 1) and (2, 0)
+    # form the tail.  y = x + 1 meets y = 1 at (0, 1), which leaves the tail
+    # for the end of line 0's block, and x = 2 at (2, 3), in line 1's block.
+    table = streams.HittingTable([RationalLine(0, 1, -1), RationalLine(1, 0, -2)])
+    assert list(table.candidates()) == [(2, 1), (0, 1), (2, 0)]
+    table.extend([RationalLine(1, -1, 1)])
+    assert list(table.candidates()) == [(2, 1), (0, 1), (2, 3), (2, 0)]
+    assert table.candidates().masks == [0b011, 0b101, 0b110, 0b010]
+
+
+@st.composite
+def line_sets(draw):
+    """1-15 lines from coefficients in -3..3, each fresh, a copy, a
+    parallel, vertical, horizontal, through the origin, or through an
+    earlier line's own point, which then becomes a meet."""
+    small = st.integers(-3, 3)
+    lines = []
+    for _ in range(draw(st.integers(1, 15))):
+        a, b, c = draw(small), draw(small), draw(small)
+        kind = draw(st.sampled_from(
+            ["fresh", "copy", "parallel", "vertical", "horizontal", "origin", "own point"]
+        )) if lines else "fresh"
+        if kind in ("copy", "parallel", "own point"):
+            ln = draw(st.sampled_from(lines))
+        if kind == "copy":
+            lines.append(ln)
+            continue
+        if kind == "parallel":
+            a, b, c = ln.a, ln.b, ln.c + draw(st.integers(1, 4))
+        elif kind == "vertical":
+            b = 0
+        elif kind == "horizontal":
+            a = 0
+        elif kind == "origin":
+            c = 0
+        if a == 0 and b == 0:
+            a = 1
+        if kind == "own point":
+            x, y = lines_module._point_of(streams._own_key(ln))
+            c = -(a * x + b * y)
+        lines.append(RationalLine.normalized(Fraction(a), Fraction(b), Fraction(c)))
+    return lines
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lines=line_sets())
+def test_table_tracks_generated_line_sets(lines):
+    assert_table_tracks(in_triples(lines))
+
+
+@pytest.mark.parametrize("kind", [SolverKind.EXACT, SolverKind.GREEDY])
+def test_solve_hitting_of_a_table_matches_solve_of_its_lines(kind):
+    def solved(lines_or_table, m):
+        value, points = streams.solve_hitting(lines_or_table, m, kind)
+        return value, points()
+
+    assert solved(streams.HittingTable(), 2) == solved([], 2)
+    for ms, lines, _, _ in reference_cases():
+        table = streams.HittingTable(lines)
+        for m in ms:
+            assert solved(table, m) == solved(lines, m)
 
 
 def test_verify_sparse_matches_reference_on_gen_lines_retries(monkeypatch):

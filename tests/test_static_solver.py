@@ -8,6 +8,7 @@ from stablecover.geometry import Point, UnitDisk, covers
 from stablecover.static_solver import (
     SolverBudgetError,
     SolverKind,
+    _circles_through,
     candidate_disks,
     coverage_masks,
     max_coverage_masks,
@@ -46,6 +47,16 @@ def test_candidates_cover_their_defining_points():
         for d in candidate_disks(pts):
             covered = [p for p in pts if covers(d, p)]
             assert covered, "every candidate covers at least one point"
+
+
+@pytest.mark.xfail(strict=True, reason="the rounded midpoint of a diametral pair misses a point")
+def test_circles_through_cover_both_points_of_a_diametral_pair():
+    # A 3-4-5 diameter: the unit disk at (1.1, 1.6) holds both decimals
+    # exactly.  In doubles the pair is at d^2 = 4.0, so the offset is zero and
+    # both centers are the midpoint, at squared distance 1 + 2**-52 from (1.9, 1).
+    p, q = Point(0.3, 2.2), Point(1.9, 1.0)
+    for center in _circles_through(p, q):
+        assert covers(UnitDisk(center), p) and covers(UnitDisk(center), q)
 
 
 def test_candidates_realize_best_single_disk_coverage():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from stablecover.adversary.streams import solve_hitting
+from stablecover.adversary.streams import HittingTable, solve_hitting
 from stablecover.geometry import Point
 from stablecover.harness_cli import gen_lines, parse_stream
 from stablecover.static_solver import CandidateIndex, SolverKind, solve
@@ -37,6 +37,7 @@ SOLVES = {
     "points": lambda kind: solve(POINTS, 2, kind).disks,
     "index": lambda kind: solve(CandidateIndex(POINTS), 2, kind).disks,
     "lines": lambda kind: solve_hitting(LINES, 6, kind),
+    "table": lambda kind: solve_hitting(HittingTable(LINES), 6, kind),
 }
 
 
