@@ -8,14 +8,16 @@ One entry, :func:`max_coverage_masks`, picks the search by :class:`SolverKind`
 for ``solve`` and for the line-hitting solver in :mod:`stablecover.adversary`.
 The exact search has two phases that draw on one node budget: a value search
 over the distinct coverage masks, then the extraction of the canonical index
-set, which continues the same node count.  ``solve`` computes candidates,
-masks and the value eagerly; the returned :class:`Solution` builds its disks
-and assignment only when one of them is first read.  A caller that reads only
-``value`` never runs extraction, so a value-only solve can succeed where both
-phases together exhaust the budget: on one draw of 200 uniform points in a
-10x10 box at ``m=4`` the value search takes 12.6k nodes and extraction more
-than 5M.  Both phases are explicit-stack loops whose depth is bounded by
-``m``, never by the number of masks.
+set, which continues the same node count.  Extraction walks the indices in
+order and takes each one that still leaves a completion to the optimum, which
+a stop-at-target search decides.  ``solve`` computes candidates, masks and
+the value eagerly; the returned :class:`Solution` builds its disks and
+assignment only when one of them is first read.  A caller that reads only
+``value`` never runs extraction, so a value-only solve can succeed under a
+budget that both phases together exceed: on four draws of 200 uniform points
+in a 10x10 box at ``m=4`` the value search takes 27 to 12.6k nodes and
+extraction 4.1k to 13.3k.  Both phases are explicit-stack loops whose depth
+is bounded by ``m``, never by the number of masks.
 
 Candidates and masks come from one of two paths.  Called with the points,
 ``solve`` builds them from scratch in one table (:func:`_candidate_table`):
@@ -45,6 +47,7 @@ import bisect
 import heapq
 import math
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, Collection, Iterable, Iterator
 
 from .geometry import (
@@ -363,8 +366,10 @@ def max_coverage_masks(
     Exact: the value search runs here over the distinct masks; ``pick()``
     extracts the lexicographically smallest optimal index set, ascending, from
     the full list (equal-coverage duplicates may appear in it), continuing the
-    node count under the same ``node_budget``.  Greedy: both run here, and
-    ``pick()`` gives the indices in pick order."""
+    node count under the same ``node_budget``.  It takes each index in turn
+    whose mask, with those taken, still leaves enough later masks to reach
+    the value (:func:`_extract`).  Greedy: both run here, and ``pick()``
+    gives the indices in pick order."""
     if kind is SolverKind.EXACT:
         value, nodes = _best_value(masks, m, node_budget)
         return value, lambda: _extract(masks, m, value, nodes, node_budget)
@@ -422,63 +427,98 @@ def _best_value(masks: list[int], m: int, node_budget: int) -> tuple[int, int]:
 def _extract(
     masks: list[int], m: int, best: int, nodes: int, node_budget: int
 ) -> list[int]:
-    """Phase 2: the lexicographically first index set whose union is ``best``.
+    """Phase 2: the lexicographically smallest ascending tuple of ``m`` indices
+    (at most ``len(masks)``) whose union is ``best``.
 
     Runs over the full, undeduped list: zero-marginal picks and duplicates
-    can both appear in the lexicographically smallest optimum.  The count
-    continues from the ``nodes`` phase 1 spent, under the same budget.  The
-    chosen prefix is the explicit stack; a branch is cut once its union plus
-    the largest ``slots`` coverages from its next index cannot reach ``best``.
+    can both appear in it.  Prefix feasibility: with ``slots`` picks left,
+    the walk takes the first index ``j`` whose union with the picks so far
+    reaches ``best``, or whose residual ``need`` the ``slots - 1`` masks
+    after ``j`` can still cover (:func:`_reaches`).  An index that fails is
+    never tried again.  The search does not count the indices after ``j``:
+    some ``m``-tuple reaches ``best``, so the first index it accepts leaves
+    ``slots - 1`` after it.  A search that succeeds gives a completion, and
+    the walk takes the completion's next index with no search once it gets
+    there.  From the first failure on, a suffix maximum of the coverages
+    rejects ``j`` without a search when ``slots - 1`` copies of the largest
+    one after ``j`` fall short of ``need``.  The count continues from the
+    ``nodes`` phase 1 spent, under the same budget: one node per tested
+    index, plus the searches' nodes.
     """
     if m <= 0 or not masks:
         return []
-    full_n = len(masks)
-    m = min(m, full_n)
-    top_after: list[list[int]] = [[] for _ in range(full_n + 1)]
-    for i in range(full_n - 1, -1, -1):
-        merged = top_after[i + 1] + [masks[i].bit_count()]
-        top_after[i] = sorted(merged, reverse=True)[:m]
-    # caps[i][s]: the s largest coverages among indices i.. (s <= full_n - i).
-    caps = [_prefix_sums(t) for t in top_after]
-
-    nodes += 1
-    if nodes > node_budget:
-        raise _budget_error(node_budget)
+    n = len(masks)
+    slots = min(m, n)
     chosen: list[int] = []
-    frames = [(0, 0)]  # union and its size after each chosen prefix
-    i = 0
-    while True:
-        slots = m - len(chosen)
-        mask, val = frames[-1]
-        while i <= full_n - slots and val + caps[i][slots] >= best:
-            nm = mask | masks[i]
+    union = 0
+    suffix_max: list[int] | None = None  # [j]: the largest coverage in masks[j:]
+    completion: list[int] = []  # later indices that complete the picks to ``best``
+    for j in range(n):
+        nodes += 1
+        if nodes > node_budget:
+            raise _budget_error(node_budget)
+        covered = union | masks[j]
+        need = best - covered.bit_count()
+        if completion and completion[0] == j:
+            del completion[0]
+        elif need > 0:
+            if slots == 1 or suffix_max is not None and (slots - 1) * suffix_max[j + 1] < need:
+                continue
+            found, nodes = _reaches(masks, j + 1, covered, slots - 1, need, nodes, node_budget)
+            if found is None:
+                if suffix_max is None:
+                    pops = map(int.bit_count, reversed(masks))
+                    suffix_max = list(accumulate(pops, max, initial=0))[::-1]
+                continue
+            completion = found
+        chosen.append(j)
+        slots -= 1
+        if not slots:
+            return chosen
+        union = covered
+    raise SolverInvariantError("extraction must succeed once the optimum value is known")
+
+
+def _reaches(
+    masks: list[int], start: int, covered: int, slots: int, need: int, nodes: int, node_budget: int
+) -> tuple[list[int] | None, int]:
+    """At most ``slots`` indices in ``masks[start:]``, ascending, whose masks
+    cover ``need`` bits outside ``covered`` (each the first with its
+    residual mask), or None if there are none; and the node count after the
+    search.
+
+    A stop-at-target branch and bound over the distinct nonzero residual
+    masks sorted by coverage (descending, ties by first occurrence), which
+    returns at the first node that reaches ``need``.  Like
+    :func:`_best_value`, each node takes the next mask before skipping it.
+    """
+    free = ~covered
+    residuals = [mk & free for mk in masks[start:]]
+    distinct = dict.fromkeys(residuals)
+    distinct.pop(0, None)
+    ordered = sorted(distinct, key=int.bit_count, reverse=True)  # stable: ties keep their order
+    n = len(ordered)
+    prefix = list(accumulate(map(int.bit_count, ordered), initial=0))
+    stack = [(0, slots, 0, 0, ())]  # (position, slots, union, value, positions taken)
+    while stack:
+        pos, slots, mask, val, taken = stack.pop()
+        while True:
             nodes += 1
             if nodes > node_budget:
                 raise _budget_error(node_budget)
-            if slots == 1:
-                if nm.bit_count() == best:
-                    chosen.append(i)
-                    return chosen
-                i += 1
-                continue
-            chosen.append(i)
-            frames.append((nm, nm.bit_count()))
-            i += 1
-            break
-        else:  # no child left at this depth: backtrack
-            if not chosen:
-                raise SolverInvariantError(
-                    "extraction must succeed once the optimum value is known"
-                )
-            i = chosen.pop() + 1
-            frames.pop()
-
-
-def _prefix_sums(values: list[int]) -> list[int]:
-    out = [0]
-    for v in values:
-        out.append(out[-1] + v)
-    return out
+            if val >= need:
+                return sorted(start + residuals.index(ordered[p]) for p in taken), nodes
+            if slots == 0 or val + prefix[min(pos + slots, n)] - prefix[pos] < need:
+                break
+            gain = ordered[pos] & ~mask
+            if gain:
+                stack.append((pos + 1, slots, mask, val, taken))
+                mask |= gain
+                val += gain.bit_count()
+                slots -= 1
+                taken += (pos,)
+            pos += 1
+    return None, nodes
 
 
 def _greedy_masks(masks: list[int], m: int) -> tuple[int, list[int]]:

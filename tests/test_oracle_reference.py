@@ -6,17 +6,28 @@ recursed once per distinct mask and phase 2 once per chosen index, both
 counting nodes against one budget.  ``reference_greedy_masks`` is the eager
 greedy loop that the lazy ``_greedy_masks`` replaced, likewise verbatim.
 ``reference_solve`` is the eager ``solve`` built on the two.
+``reference_extract`` is the iterative depth-first extraction that the
+prefix-feasibility ``_extract`` replaced, with its ``_prefix_sums``, kept
+verbatim apart from its name.
 """
 
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from stablecover import static_solver
 from stablecover.geometry import Point, assign_points
+from stablecover.harness_cli import RunConfig, format_point_event, parse_stream, run
 from stablecover.static_solver import (
     DEFAULT_NODE_BUDGET,
     SolverBudgetError,
+    SolverInvariantError,
     SolverKind,
+    _best_value,
+    _budget_error,
+    _extract,
     _greedy_masks,
     candidate_disks,
     coverage_masks,
@@ -109,6 +120,68 @@ def reference_max_coverage_masks(masks, m, node_budget=DEFAULT_NODE_BUDGET):
     return best, chosen
 
 
+def reference_extract(
+    masks: list[int], m: int, best: int, nodes: int, node_budget: int
+) -> list[int]:
+    """Phase 2: the lexicographically first index set whose union is ``best``.
+
+    Runs over the full, undeduped list: zero-marginal picks and duplicates
+    can both appear in the lexicographically smallest optimum.  The count
+    continues from the ``nodes`` phase 1 spent, under the same budget.  The
+    chosen prefix is the explicit stack; a branch is cut once its union plus
+    the largest ``slots`` coverages from its next index cannot reach ``best``.
+    """
+    if m <= 0 or not masks:
+        return []
+    full_n = len(masks)
+    m = min(m, full_n)
+    top_after: list[list[int]] = [[] for _ in range(full_n + 1)]
+    for i in range(full_n - 1, -1, -1):
+        merged = top_after[i + 1] + [masks[i].bit_count()]
+        top_after[i] = sorted(merged, reverse=True)[:m]
+    # caps[i][s]: the s largest coverages among indices i.. (s <= full_n - i).
+    caps = [_prefix_sums(t) for t in top_after]
+
+    nodes += 1
+    if nodes > node_budget:
+        raise _budget_error(node_budget)
+    chosen: list[int] = []
+    frames = [(0, 0)]  # union and its size after each chosen prefix
+    i = 0
+    while True:
+        slots = m - len(chosen)
+        mask, val = frames[-1]
+        while i <= full_n - slots and val + caps[i][slots] >= best:
+            nm = mask | masks[i]
+            nodes += 1
+            if nodes > node_budget:
+                raise _budget_error(node_budget)
+            if slots == 1:
+                if nm.bit_count() == best:
+                    chosen.append(i)
+                    return chosen
+                i += 1
+                continue
+            chosen.append(i)
+            frames.append((nm, nm.bit_count()))
+            i += 1
+            break
+        else:  # no child left at this depth: backtrack
+            if not chosen:
+                raise SolverInvariantError(
+                    "extraction must succeed once the optimum value is known"
+                )
+            i = chosen.pop() + 1
+            frames.pop()
+
+
+def _prefix_sums(values: list[int]) -> list[int]:
+    out = [0]
+    for v in values:
+        out.append(out[-1] + v)
+    return out
+
+
 def reference_greedy_masks(masks, m):
     chosen: list[int] = []
     covered = 0
@@ -195,14 +268,15 @@ def test_solve_matches_reference(kind):
 
 
 def test_node_budget_unchanged():
+    # The value search and the extraction share one budget: at the smallest
+    # budget that builds the disks, one node less still gives the value (the
+    # reference's), and extraction runs out.  Success is monotone in the
+    # budget, so bisection finds that smallest budget.
     for pts in instances():
         for m in range(1, 5):
-            ref = smallest_budget(lambda b: reference_solve(pts, m, node_budget=b))
-            # Success is monotone in the budget, so the smallest budget is
-            # the same when ``ref`` succeeds and ``ref - 1`` does not.
-            assert solve(pts, m, node_budget=ref).disks
-            # One node short, the value search still fits; extraction does not.
-            short = solve(pts, m, node_budget=ref - 1)
+            budget = smallest_budget(lambda b: solve(pts, m, node_budget=b).disks)
+            assert solve(pts, m, node_budget=budget).disks
+            short = solve(pts, m, node_budget=budget - 1)
             assert short.value == reference_solve(pts, m)[2]
             with pytest.raises(SolverBudgetError):
                 short.disks
@@ -245,3 +319,85 @@ def test_deep_mask_list_is_iterative():
     assert len(masks) == 4096
     value, pick = max_coverage_masks(masks, 2)
     assert (value, pick()) == (13, [0, 4095])
+
+
+@st.composite
+def mask_lists(draw):
+    """Masks of up to 10 bits, each the meet of two draws, taken from a small
+    pool and the zero mask, so duplicates and zero masks are common, and an
+    ``m`` up to 3 above the list's length."""
+    bits = draw(st.integers(1, 10))
+    draws = st.integers(0, (1 << bits) - 1)
+    pool = draw(st.lists(st.tuples(draws, draws).map(lambda ab: ab[0] & ab[1]), min_size=1, max_size=12))
+    masks = draw(st.lists(st.sampled_from([0, *pool]), min_size=len(pool), max_size=18))
+    return masks, draw(st.integers(1, len(masks) + 3))
+
+
+# Index 0 leaves 5 bits to cover, and 2 of the later masks reach only 4.
+@example(([0, 5, 19, 8], 3))
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(mask_lists())
+def test_extraction_matches_reference(case):
+    masks, m = case
+    value, pick = max_coverage_masks(masks, m)
+    assert pick() == reference_extract(masks, m, value, 0, DEFAULT_NODE_BUDGET)
+
+
+def sliding_window(seed, window=8, box=4.5, steady=16):
+    """``window`` inserts in a ``box`` square, then pairs of one insert and
+    one random delete: the benchmark's dense point streams."""
+    rng = random.Random(seed)
+    live, rows = [], []
+    for k in range(window + steady // 2):
+        live.append(Point(rng.uniform(0.0, box), rng.uniform(0.0, box)))
+        rows.append(format_point_event("insert", live[-1]))
+        if k >= window:
+            rows.append(format_point_event("delete", live.pop(rng.randrange(len(live)))))
+    return rows
+
+
+def test_replayed_extractions_match_reference(monkeypatch):
+    """Every extraction of exact_maintainer replays of dense sliding windows
+    (8 points in 4.5x4.5, m=4) picks what the reference picks."""
+    checked = []
+
+    def both(masks, m, best, nodes, node_budget):
+        picked = _extract(masks, m, best, nodes, node_budget)
+        assert picked == reference_extract(masks, m, best, nodes, node_budget)
+        checked.append(picked)
+        return picked
+
+    monkeypatch.setattr(static_solver, "_extract", both)
+    for seed in range(30):
+        run(RunConfig(engine="exact_maintainer", m=4), parse_stream("\n".join(sliding_window(seed)) + "\n"))
+    assert len(checked) == 30 * 24
+
+
+@pytest.mark.parametrize(
+    "masks, picked, extraction_nodes",
+    [
+        # The best union of 3 is 10, from masks 0, 3 and 4.
+        # - Mask 0: 1 node, then a search for 4 bits from 2 later masks,
+        #   which takes {8, 9} and {10, 11}, masks 3 and 4: 3 nodes.
+        # - Mask 1: 1 node, then a search for 3 bits from 1 later mask, whose
+        #   root bound is 2: 1 node.  It fails, so the suffix maxima are built.
+        # - Mask 2: 1 node.  It covers 5 bits itself, but it needs 3 more and
+        #   the largest coverage after it is 2: rejected with no search.
+        # - Mask 3: 1 node.  It is next in mask 0's completion: no search.
+        # - Mask 4: 1 node, and the union is 10.
+        ([0b111111, 0b1000011, 0b10001111, 0b11 << 8, 0b11 << 10], [0, 3, 4], 9),
+        # The best union of 3 is 6, from masks 1, 2 and 3.
+        # - Mask 0: 1 node, then a search for 4 bits from {0, 5}, {0, 3} and
+        #   {6}, which fails after 5 nodes.
+        # - Mask 1: 1 node, then a search that takes {2, 6} and {3, 4},
+        #   masks 2 and 3: 3 nodes.  Mask 0, before it, would add {2, 4} to
+        #   this search.
+        # - Mask 2: 1 node, next in mask 1's completion.
+        # - Mask 3: 1 node, and the union is 6.
+        ([0b10100, 0b100001, 0b1000100, 0b11001], [1, 2, 3], 12),
+    ],
+)
+def test_extraction_nodes_by_hand(masks, picked, extraction_nodes):
+    value, nodes = _best_value(masks, 3, DEFAULT_NODE_BUDGET)
+    assert _extract(masks, 3, value, nodes, DEFAULT_NODE_BUDGET) == picked
+    assert smallest_budget(lambda b: _extract(masks, 3, value, nodes, b)) == nodes + extraction_nodes

@@ -3,7 +3,8 @@
 A change that must keep reports byte-identical keeps these digests.  The
 streams cover both SAS tolerances the tests use, the scaled pipeline up to
 ``GroupSwap`` and through all four scaled-mode fallbacks, a sparse 600-event
-greedy stream at the benchmark's scaled constants, the 2-stable baseline,
+stream at the benchmark's scaled constants through the greedy and the exact
+oracle, the 2-stable baseline,
 the exact maintainer (random, half-unit lattice and lower-bound streams) and
 the hitting maintainers on line streams (greedy at m 6, 9 and 12, exact at
 m 6 and 9).  The generated line text at m 9, 12, 30, 60 and 120 has
@@ -91,6 +92,13 @@ CASES = {
         RunConfig(engine="sas", m=16, epsilon=0.25, solver=SolverKind.GREEDY, scaled=SCALED),
         gen_random(600, 60.0, seed=5, delete_prob=0.3),
         "915b275f0cc76c36d42a443ca091c18c4bfd3832424c1d3d5c69ef45e3cb16d1",
+    ),
+    # The same stream through the exact oracle, which extracts the canonical
+    # optimum at every repair of up to 240 live points.
+    "sas-exact-sparse": (
+        RunConfig(engine="sas", m=16, epsilon=0.25, solver=SolverKind.EXACT, scaled=SCALED),
+        gen_random(600, 60.0, seed=5, delete_prob=0.3),
+        "138784815e559807a3336045cf6e876e814c34fd7653532bdeb12ed0328b8d65",
     ),
     "sas-greedy-fallbacks": (
         RunConfig(engine="sas", m=16, epsilon=0.25, solver=SolverKind.GREEDY, scaled=FALLBACKS),
@@ -246,6 +254,7 @@ def _step_body(step: str) -> str:
 CI_REPLAYS = {
     "sas-greedy-fallbacks": "Scaled-mode fallback stream under -O",
     "sas-greedy-sparse": "Sparse greedy stream under -O",
+    "sas-exact-sparse": "Sparse exact stream under -O",
 }
 
 

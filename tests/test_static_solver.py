@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from stablecover.adversary import ExactMaintainer
 from stablecover.geometry import Point, UnitDisk, covers
 from stablecover.static_solver import (
     SolverBudgetError,
@@ -144,6 +145,30 @@ def test_budget_error():
     pts = {Point(rng.uniform(0, 6), rng.uniform(0, 6)) for _ in range(30)}
     with pytest.raises(SolverBudgetError):
         solve(pts, 3, node_budget=5)
+
+
+def lattice_points(seed):
+    """16 draws on a 0.1 lattice in an 8.5x8.5 box."""
+    rng = random.Random(seed)
+    return [Point(round(rng.uniform(0, 8.5), 1), round(rng.uniform(0, 8.5), 1)) for _ in range(16)]
+
+
+@pytest.mark.parametrize("seed", [7, 16, 19])
+def test_dense_lattice_extracts_at_m8(seed):
+    # The value search takes 256 to 2973 nodes here; the depth-first
+    # extraction that prefix feasibility replaced ran past the 5M budget.
+    sol = solve(lattice_points(seed), 8)
+    assert len(sol.disks) == 8
+    assert len(sol.assignment) == sol.value
+
+
+def test_exact_maintainer_replays_a_dense_lattice_at_m8():
+    points = list(dict.fromkeys(lattice_points(7)))
+    mt = ExactMaintainer(8)
+    for k, p in enumerate(points + points[:-1]):
+        mt.apply("insert" if k < len(points) else "delete", p)
+        live = points[k - len(points) + 1:] if k >= len(points) else points[:k + 1]
+        assert mt.solution() == solve(live, 8).disks
 
 
 def test_determinism():
