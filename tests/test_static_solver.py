@@ -165,10 +165,12 @@ def test_dense_lattice_extracts_at_m8(seed):
 def test_exact_maintainer_replays_a_dense_lattice_at_m8():
     points = list(dict.fromkeys(lattice_points(7)))
     mt = ExactMaintainer(8)
-    for k, p in enumerate(points + points[:-1]):
-        mt.apply("insert" if k < len(points) else "delete", p)
-        live = points[k - len(points) + 1:] if k >= len(points) else points[:k + 1]
-        assert mt.solution() == solve(live, 8).disks
+    for k, p in enumerate(points):
+        mt.apply("insert", p)
+        assert mt.solution() == solve(points[:k + 1], 8).disks
+    for k, p in enumerate(points[:-1]):
+        mt.apply("delete", p)
+        assert mt.solution() == solve(points[k + 1:], 8).disks
 
 
 def test_determinism():
