@@ -65,14 +65,57 @@ def covers(disk: UnitDisk, p: Point) -> bool:
     return dx * dx + dy * dy <= 1.0
 
 
+# Inputs of at least this many points take the window path of
+# :func:`assign_points`.  Filing the points and probing each disk's 3x3
+# window cost about 1.5 us per disk however few points there are, while the
+# per-point loop grows with points x disks and stops at the first cover.
+# Timed on uniform points (2 CPUs, Python 3.11) at m = 4, 16 and 64, in
+# boxes as dense as 8 points in 4.5x4.5 and as sparse as 150 in 60x60, the
+# window path wins or ties from 48 points, crosses over between 24 and 48,
+# and loses by 2.5x or more at 8 points.
+WINDOW_MIN_POINTS = 48
+
+
 def assign_points(points: Iterable[Point], disks: list[UnitDisk]) -> Assignment:
-    """Assign every covered point to the lowest-index disk containing it."""
+    """Assign every covered point to the lowest-index disk containing it.
+
+    The mapping's keys follow the input order.  Below
+    :data:`WINDOW_MIN_POINTS` points each point tries the disks in index
+    order, by ``covers`` inlined with the same operations.  From there on
+    the points are filed once in the neighbour grid (entries
+    ``(point, input index)``), and each disk in index order takes the points
+    of its :func:`near` window that it covers and no earlier disk took.
+    """
+    points = list(points)
     assignment: Assignment = {}
-    for p in points:
-        for i, d in enumerate(disks):
-            if covers(d, p):
-                assignment[p] = i
-                break
+    if len(points) < WINDOW_MIN_POINTS:
+        centers = [d.center for d in disks]
+        for p in points:
+            px, py = p
+            for i, (cx, cy) in enumerate(centers):
+                dx = px - cx
+                dy = py - cy
+                if dx * dx + dy * dy <= 1.0:
+                    assignment[p] = i
+                    break
+        return assignment
+    grid: Grid = {}
+    for i, p in enumerate(points):
+        # ``bucket`` inlined, as in ``bit_grid``.
+        col = grid.setdefault(math.floor(p.x / 2.0), {})
+        col.setdefault(math.floor(p.y / 2.0), []).append((p, i))
+    owner = [-1] * len(points)
+    for k, d in enumerate(disks):
+        x, y = d.center
+        for (qx, qy), i in near(grid, bucket(d.center)):
+            if owner[i] < 0:
+                dx = qx - x
+                dy = qy - y
+                if dx * dx + dy * dy <= 1.0:
+                    owner[i] = k
+    for p, k in zip(points, owner):
+        if k >= 0:
+            assignment[p] = k
     return assignment
 
 
@@ -175,9 +218,10 @@ def cell_of(p: Point, grid: GridSpec) -> CellId:
     return CellId(cx, cy)
 
 
-def _axis_line_distance(coord: float, offset: float, edge: float) -> float:
+def _near_line(coord: float, offset: float, edge: float) -> bool:
+    """True iff ``coord`` is less than 1 from a line at ``offset + k*edge``."""
     r = (coord - offset) % edge
-    return min(r, edge - r)
+    return r < 1.0 or edge - r < 1.0
 
 
 def is_boundary(disk: UnitDisk, grid: GridSpec) -> bool:
@@ -185,26 +229,13 @@ def is_boundary(disk: UnitDisk, grid: GridSpec) -> bool:
 
     A disk tangent to a line (distance exactly 1) counts as internal.
     """
-    dx = _axis_line_distance(disk.center.x, grid.offset_x, grid.edge)
-    dy = _axis_line_distance(disk.center.y, grid.offset_y, grid.edge)
-    return dx < 1.0 or dy < 1.0
+    x, y = disk.center
+    return _near_line(x, grid.offset_x, grid.edge) or _near_line(y, grid.offset_y, grid.edge)
 
 
 def grid_shift_count(epsilon: float) -> int:
     """Number of distinct shifts per axis for accuracy ``epsilon``."""
     return math.ceil(8.0 / epsilon)
-
-
-def boundary_assigned_count(
-    disks: list[UnitDisk], assignment: Assignment, grid: GridSpec
-) -> int:
-    """Points assigned to disks that are boundary disks of ``grid``."""
-    per_disk = [0] * len(disks)
-    for idx in assignment.values():
-        per_disk[idx] += 1
-    return sum(
-        per_disk[i] for i, d in enumerate(disks) if is_boundary(d, grid)
-    )
 
 
 def select_grid(
@@ -224,21 +255,33 @@ def select_grid(
     to exist whenever ``opt_value`` exceeds ``(1+epsilon)`` times the number of
     points assigned in ``alg_assignment``; calling this without that gap may
     exhaust the scan.
+
+    A grid's count is the points assigned to its boundary disks (see
+    :func:`is_boundary`), over both solutions.  The points are counted per
+    disk center once, and each center's x and y boundary flags once per axis
+    shift, since a grid's x lines depend only on ``shift_i`` and its y lines
+    only on ``shift_j``; the scan then only sums.
     """
     if shifts is None:
         shifts = grid_shift_count(epsilon)
     if edge is None:
         edge = 2.0 * shifts
     budget = Fraction(str(epsilon)) * len(opt_assignment) / 2
+    held: Counter[Point] = Counter()
+    for disks, assignment in ((opt_disks, opt_assignment), (alg_disks, alg_assignment)):
+        for idx, count in Counter(assignment.values()).items():
+            held[disks[idx].center] += count
+    counts = list(held.values())
+    # Offsets as ``GridSpec.offset_x``/``offset_y`` compute them.
+    x_flags = [[_near_line(c.x, 2.0 * s, edge) for c in held] for s in range(shifts)]
+    y_flags = [[_near_line(c.y, 2.0 * s, edge) for c in held] for s in range(shifts)]
+    limit = math.floor(budget)  # counts are integers
     for i in range(shifts):
+        x_i = x_flags[i]
         for j in range(shifts):
-            grid = GridSpec(edge, i, j)
-            total = boundary_assigned_count(opt_disks, opt_assignment, grid)
-            if total > budget:
-                continue
-            total += boundary_assigned_count(alg_disks, alg_assignment, grid)
-            if total <= budget:
-                return grid
+            total = sum(n for n, fx, fy in zip(counts, x_i, y_flags[j]) if fx or fy)
+            if total <= limit:
+                return GridSpec(edge, i, j)
     raise GridSelectionError(
         f"no grid with boundary coverage <= {budget} among {shifts}x{shifts} shifts"
     )

@@ -443,7 +443,10 @@ def _extract(
     rejects ``j`` without a search when ``slots - 1`` copies of the largest
     one after ``j`` fall short of ``need``.  The count continues from the
     ``nodes`` phase 1 spent, under the same budget: one node per tested
-    index, plus the searches' nodes.
+    index, plus the searches' nodes.  The budget counts search nodes only,
+    not each search's O(n log n) residual build, so it does not bound
+    extraction's wall time: 200 points in a 10x10 box at seed 2 (m=4, 4276
+    masks) take 13,252 nodes and about 1 s.
     """
     if m <= 0 or not masks:
         return []
@@ -491,6 +494,8 @@ def _reaches(
     masks sorted by coverage (descending, ties by first occurrence), which
     returns at the first node that reaches ``need``.  Like
     :func:`_best_value`, each node takes the next mask before skipping it.
+    Building, deduping and sorting the residuals costs O(n log n) in the
+    masks after ``start`` on every call and spends no node.
     """
     free = ~covered
     residuals = [mk & free for mk in masks[start:]]

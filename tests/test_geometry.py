@@ -1,17 +1,29 @@
+"""Planar primitives, with reference copies of the repair helpers.
+
+``reference_assign`` is the points x disks loop that ``assign_points``
+replaced, and ``reference_select_grid`` the per-grid recount that
+``select_grid`` replaced, with its ``boundary_assigned_count`` and the
+``is_boundary`` it called (here ``reference_is_boundary``, with its
+``_axis_line_distance``); all are kept verbatim apart from their names.
+"""
+
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stablecover.geometry import (
+    WINDOW_MIN_POINTS,
     GridSelectionError,
     GridSpec,
     Point,
     UnitDisk,
     assign_points,
     bit_grid,
-    boundary_assigned_count,
     bucket,
     cell_cover,
     cell_cover_size,
@@ -27,8 +39,62 @@ from stablecover.geometry import (
     near,
     select_grid,
 )
+from stablecover.static_solver import pad_disks
 
 G64 = GridSpec(64.0, 0, 0)
+
+
+def reference_assign(points, disks):
+    assignment = {}
+    for p in points:
+        for i, d in enumerate(disks):
+            if covers(d, p):
+                assignment[p] = i
+                break
+    return assignment
+
+
+def _axis_line_distance(coord, offset, edge):
+    r = (coord - offset) % edge
+    return min(r, edge - r)
+
+
+def reference_is_boundary(disk, grid):
+    dx = _axis_line_distance(disk.center.x, grid.offset_x, grid.edge)
+    dy = _axis_line_distance(disk.center.y, grid.offset_y, grid.edge)
+    return dx < 1.0 or dy < 1.0
+
+
+def boundary_assigned_count(disks, assignment, grid):
+    """Points assigned to disks that are boundary disks of ``grid``."""
+    per_disk = [0] * len(disks)
+    for idx in assignment.values():
+        per_disk[idx] += 1
+    return sum(
+        per_disk[i] for i, d in enumerate(disks) if reference_is_boundary(d, grid)
+    )
+
+
+def reference_select_grid(
+    opt_disks, alg_disks, opt_assignment, alg_assignment, epsilon, edge=None, shifts=None
+):
+    if shifts is None:
+        shifts = grid_shift_count(epsilon)
+    if edge is None:
+        edge = 2.0 * shifts
+    budget = Fraction(str(epsilon)) * len(opt_assignment) / 2
+    for i in range(shifts):
+        for j in range(shifts):
+            grid = GridSpec(edge, i, j)
+            total = boundary_assigned_count(opt_disks, opt_assignment, grid)
+            if total > budget:
+                continue
+            total += boundary_assigned_count(alg_disks, alg_assignment, grid)
+            if total <= budget:
+                return grid
+    raise GridSelectionError(
+        f"no grid with boundary coverage <= {budget} among {shifts}x{shifts} shifts"
+    )
 
 
 def test_covers_center_boundary_outside():
@@ -79,6 +145,58 @@ def test_assignment_counts_match_union_coverage():
         assert len(a) == coverage_value(pts, disks)
         for p, i in a.items():
             assert covers(disks[i], p)
+
+
+@st.composite
+def assignment_cases(draw):
+    """Points on a 0.1 or 0.5 lattice, on both sides of the window-path
+    size, plus points exactly 1 from a disk's center along an axis and one
+    ulp beyond; disks at lattice points and points, repeated, and padded
+    with disks parked far below."""
+    div = draw(st.sampled_from((10, 2)))
+    side = draw(st.integers(2, 16))
+    coord = st.integers(0, side * div).map(lambda k: k / div)
+    lattice = st.builds(Point, coord, coord)
+    size = draw(
+        st.one_of(
+            st.integers(0, WINDOW_MIN_POINTS - 1),
+            st.integers(WINDOW_MIN_POINTS, 2 * WINDOW_MIN_POINTS + 8),
+        )
+    )
+    points = draw(st.lists(lattice, min_size=size, max_size=size))
+    centers = draw(st.lists(st.one_of(lattice, st.sampled_from(points or [Point(0.0, 0.0)])), max_size=20))
+    for c in draw(st.lists(st.sampled_from(centers), max_size=4)) if centers else ():
+        for dx, dy in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
+            x, y = c.x + dx, c.y + dy
+            points.append(Point(x, y))
+            points.append(
+                Point(math.nextafter(x, x + dx), y) if dx else Point(x, math.nextafter(y, y + dy))
+            )
+    points = draw(st.permutations(points))
+    disks = [UnitDisk(c) for c in centers]
+    disks += draw(st.lists(st.sampled_from(disks), max_size=4)) if disks else []
+    disks = draw(st.permutations(disks))
+    disks += pad_disks(draw(st.integers(0, 4)), min((p.y for p in points), default=0.0))
+    return points, disks
+
+
+# The disk at (0, 0) covers (1, 0) but not the point one ulp beyond; the
+# disk at (2, 0), filed one bucket over, covers both, and so does its
+# duplicate.
+@example(
+    (
+        [Point(1.0, 0.0), Point(math.nextafter(1.0, 2.0), 0.0)]
+        + [Point(10.0 + k, 10.0) for k in range(WINDOW_MIN_POINTS)],
+        [UnitDisk(Point(0.0, 0.0)), UnitDisk(Point(2.0, 0.0)), UnitDisk(Point(2.0, 0.0))],
+    )
+)
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(assignment_cases())
+def test_assign_points_matches_reference(case):
+    points, disks = case
+    expected = list(reference_assign(points, disks).items())
+    assert list(assign_points(points, disks).items()) == expected
+    assert list(assign_points(iter(points), disks).items()) == expected
 
 
 def test_disk_churn_is_multiset_symmetric_difference():
@@ -179,6 +297,61 @@ def test_select_grid_exhaustion_signals():
     a = assign_points(pts, disks)
     with pytest.raises(GridSelectionError):
         select_grid(disks, disks, a, a, 0.25, edge=1.0, shifts=1)
+
+
+@st.composite
+def grid_selection_cases(draw):
+    """Two solutions with centers on a half lattice, so many disks sit
+    exactly 1 from a grid line (internal) or cross it by half a unit;
+    assignments hold a drawn number of points per disk."""
+    shifts = draw(st.sampled_from((1, 2, 4, 8)))
+    edge = draw(st.sampled_from((None, 4.0, 16.0)))
+    span = int(edge or 2.0 * shifts) * 2
+    coord = st.integers(-2, 2 * span).map(lambda k: k / 2)
+    center = st.builds(Point, coord, coord)
+
+    def solution(base):
+        disks = [UnitDisk(c) for c in draw(st.lists(center, max_size=8))]
+        counts = draw(st.lists(st.integers(0, 6), min_size=len(disks), max_size=len(disks)))
+        points = [Point(float(base + t), 0.0) for t in range(sum(counts))]
+        owners = [i for i, count in enumerate(counts) for _ in range(count)]
+        return disks, dict(zip(points, draw(st.permutations(owners))))
+
+    opt_disks, opt_assignment = solution(0)
+    alg_disks, alg_assignment = solution(1000)
+    epsilon = draw(st.sampled_from((0.25, 0.35, 0.5, 1.0, 2.0)))
+    return opt_disks, alg_disks, opt_assignment, alg_assignment, epsilon, edge, shifts
+
+
+def selected(select, case):
+    try:
+        return select(*case)
+    except GridSelectionError as exc:
+        return str(exc)
+
+
+# Only grid (0, 1) has neither the opt disk at (1.5, 5) nor the alg disk at
+# (5, 3.5) on a line; the disks at (3, 3) and (5, 5) are tangent to lines
+# in every grid.
+@example(
+    (
+        [UnitDisk(Point(1.5, 5.0)), UnitDisk(Point(3.0, 3.0))],
+        [UnitDisk(Point(5.0, 3.5)), UnitDisk(Point(5.0, 5.0))],
+        {Point(float(t), 0.0): t % 2 for t in range(8)},
+        {Point(float(t), 1.0): t % 2 for t in range(8)},
+        0.25, 4.0, 2,
+    )
+)
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(grid_selection_cases())
+def test_select_grid_matches_reference(case):
+    assert selected(select_grid, case) == selected(reference_select_grid, case)
+    opt_disks, alg_disks, *_, edge, shifts = case
+    for i in range(shifts):
+        for j in range(shifts):
+            grid = GridSpec(edge or 2.0 * shifts, i, j)
+            for d in opt_disks + alg_disks:
+                assert is_boundary(d, grid) == reference_is_boundary(d, grid)
 
 
 def test_select_grid_budget_is_exact():

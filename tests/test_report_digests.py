@@ -4,7 +4,8 @@ A change that must keep reports byte-identical keeps these digests.  The
 streams cover both SAS tolerances the tests use, the scaled pipeline up to
 ``GroupSwap`` and through all four scaled-mode fallbacks, a sparse 600-event
 stream at the benchmark's scaled constants through the greedy and the exact
-oracle, the 2-stable baseline,
+oracle, a repair-heavy 1200-event stream at m=32 on 8x8 shifted grids, the
+2-stable baseline,
 the exact maintainer (random, half-unit lattice and lower-bound streams) and
 the hitting maintainers on line streams (greedy at m 6, 9 and 12, exact at
 m 6 and 9).  The generated line text at m 9, 12, 30, 60 and 120 has
@@ -51,6 +52,9 @@ SCALED = dict(
 
 # Constants under which a stream reaches all four fallback reasons.
 FALLBACKS = dict(SCALED, block_max=1, grid_shifts=4, grid_edge=8)
+
+# The sparse constants with 8 shifts per axis, on grids of edge 16.
+WIDE_GRIDS = dict(SCALED, grid_shifts=8, grid_edge=16)
 
 RANDOM = gen_random(80, 8.0, seed=11, delete_prob=0.25)
 
@@ -99,6 +103,14 @@ CASES = {
         RunConfig(engine="sas", m=16, epsilon=0.25, solver=SolverKind.EXACT, scaled=SCALED),
         gen_random(600, 60.0, seed=5, delete_prob=0.3),
         "138784815e559807a3336045cf6e876e814c34fd7653532bdeb12ed0328b8d65",
+    ),
+    # A repair-heavy stream at m=32 with 8x8 shifted grids of edge 16: 28
+    # GroupSwap, 12 FewBlocksSwapAll and 11 TrivialSwapAll rows, from the
+    # window path of the assignment and the full grid scan.
+    "sas-greedy-m32": (
+        RunConfig(engine="sas", m=32, epsilon=0.25, solver=SolverKind.GREEDY, scaled=WIDE_GRIDS),
+        gen_random(1200, 60.0, seed=5, delete_prob=0.3),
+        "8c7c6f4ed22f6a631a5f797db60eeeb1f74dff49165fa83db3d8da0c81245326",
     ),
     "sas-greedy-fallbacks": (
         RunConfig(engine="sas", m=16, epsilon=0.25, solver=SolverKind.GREEDY, scaled=FALLBACKS),
@@ -255,6 +267,7 @@ CI_REPLAYS = {
     "sas-greedy-fallbacks": "Scaled-mode fallback stream under -O",
     "sas-greedy-sparse": "Sparse greedy stream under -O",
     "sas-exact-sparse": "Sparse exact stream under -O",
+    "sas-greedy-m32": "Repair-heavy m=32 stream under -O",
 }
 
 
