@@ -11,6 +11,9 @@ points and line masks across triples, as the point maintainers keep a
 :class:`~stablecover.static_solver.CandidateIndex`; :func:`solve_hitting`
 takes either the table or a line list, whose table it builds from scratch.
 The harness re-solves from the arrived lines, so its table checks the kept one.
+A failed triple is rolled back by rebuilding the table from the lines before
+it.  Every maintainer here holds plain data, so ``copy.deepcopy`` forks one
+mid-stream.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from operator import itemgetter
 
 # disk_churn is re-exported: callers and the benchmark's spans find it here.
 from ..geometry import Point, UnitDisk, disk_churn  # noqa: F401
@@ -236,13 +238,14 @@ class HittingTable:
     meet, so a new line ``n`` only appends: its meet with line ``i`` goes at
     the end of line ``i``'s block when no earlier pair gave that point, and an
     own point the meet falls on leaves the own-point tail for that block.
+    Nothing is ever taken out; to drop lines, build a new table.
     """
 
     def __init__(self, lines: Sequence[RationalLine] = ()):
         self.lines: list[RationalLine] = []
         self._coeffs: list[tuple[int, int, int]] = []
         self._blocks: list[list[PointKey]] = []
-        self._own: dict[PointKey, int] = {}  # own points that are no meet: first line
+        self._own: dict[PointKey, None] = {}  # own points that are no meet, in order
         self._mask: dict[PointKey, int] = {}
         self.extend(lines)
 
@@ -250,14 +253,12 @@ class HittingTable:
         keys = [*chain.from_iterable(self._blocks), *self._own]
         return HittingCandidates(keys, list(map(self._mask.__getitem__, keys)))
 
-    def extend(self, triple: Sequence[RationalLine]) -> list[tuple]:
-        """Append the lines (a triple, or any number) and return the undo log
-        that :meth:`undo` takes.
+    def extend(self, triple: Sequence[RationalLine]) -> None:
+        """Append the lines (a triple, or any number).
 
         Each new line's meets with every earlier line are keyed as ``_meets``
         keys them, then its own point joins.
         """
-        log: list[tuple] = [("lines", len(self.lines))]
         mask_of, own, blocks = self._mask, self._own, self._blocks
         for ln in triple:
             n = len(self.lines)
@@ -271,50 +272,19 @@ class HittingTable:
                 g = gcd(x, y, w) if w > 0 else -gcd(x, y, w)
                 key = (x // g, y // g, w // g)
                 old = mask_of.get(key)
-                log.append(("mask", key, old))
                 mask_of[key] = (old or 0) | (1 << i) | bit_n
                 if old is None or key in own:
                     # First seen at (i, n): every earlier line through the
                     # point is a copy of line i, the lowest of them.
-                    if old is not None:
-                        log.append(("own", key, own.pop(key)))
+                    own.pop(key, None)
                     blocks[i].append(key)
-                    log.append(("block", i))
             self.lines.append(ln)
             self._coeffs.append((a2, b2, c2))
             blocks.append([])
             key = _own_key(ln)
-            old = mask_of.get(key)
-            log.append(("mask", key, old))
-            mask_of[key] = (old or 0) | bit_n
-            if old is None:
-                own[key] = n
-                log.append(("own", key, None))
-        return log
-
-    def undo(self, log: list[tuple]) -> None:
-        """Take back the :meth:`extend` that returned ``log``, the last one."""
-        mask_of, own = self._mask, self._own
-        for kind, *args in reversed(log):
-            if kind == "mask":
-                key, old = args
-                if old is None:
-                    del mask_of[key]
-                else:
-                    mask_of[key] = old
-            elif kind == "block":
-                self._blocks[args[0]].pop()
-            elif kind == "own":
-                key, first = args
-                if first is None:
-                    del own[key]
-                else:
-                    own[key] = first
-            else:
-                n = args[0]
-                del self.lines[n:], self._coeffs[n:], self._blocks[n:]
-        # A promoted own point goes back to its place in the tail.
-        self._own = dict(sorted(own.items(), key=itemgetter(1)))
+            if key not in mask_of:
+                own[key] = None
+            mask_of[key] = mask_of.get(key, 0) | bit_n
 
 
 def _far_point(index: int, lines: Sequence[RationalLine]) -> RationalPoint:
@@ -341,15 +311,13 @@ def solve_hitting(
     rational points for the chosen candidates (at most m), padded with far
     points.
     """
-    table = lines_or_table if isinstance(lines_or_table, HittingTable) else None
-    # A copy of the table's lines: points() pads against the lines solved.
-    lines = list(table.lines) if table is not None else lines_or_table
-    if not lines:
-        return 0, lambda: [_far_point(i, lines) for i in range(m)]
-    if table is not None:
-        cands = table.candidates()
+    if isinstance(lines_or_table, HittingTable):
+        # A copy of the table's lines: points() pads against the lines solved.
+        lines = list(lines_or_table.lines)
+        cands = lines_or_table.candidates()
         masks = cands.masks
     else:
+        lines = lines_or_table
         cands = hitting_candidates(lines)
         masks = _hitting_masks(lines, cands)
     value, pick = max_coverage_masks(masks, m, kind)
@@ -365,9 +333,11 @@ class ExactHittingMaintainer:
     """m points stabbing the most arrived lines, re-solved exactly per triple.
 
     The candidates come from a :class:`HittingTable` kept across triples.  A
-    triple applies fully or not at all: if the solve or the extraction of its
-    points raises (say, out of its node budget), the table's extension is
-    undone and the lines and the points stay as they were.
+    triple applies fully or not at all: if extending the table, the solve or
+    the extraction of its points raises (say, out of its node budget), the
+    table is rebuilt from the lines that had arrived before it, and the lines
+    and the points stay as they were.  The rebuild costs O(n^2) meets in the n lines, on that
+    failure path only.
     """
 
     kind = SolverKind.EXACT
@@ -382,12 +352,13 @@ class ExactHittingMaintainer:
         return self.table.lines
 
     def apply_triple(self, triple: Sequence[RationalLine]) -> None:
-        log = self.table.extend(triple)
+        arrived = len(self.table.lines)
         try:
+            self.table.extend(triple)
             _, points = solve_hitting(self.table, self.m, self.kind)
             self.points = points()
         except BaseException:
-            self.table.undo(log)
+            self.table = HittingTable(self.table.lines[:arrived])
             raise
 
     def solution(self) -> list[RationalPoint]:

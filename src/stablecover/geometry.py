@@ -8,6 +8,7 @@ against rounding (e.g. candidate construction) must arrange for it upstream.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -16,6 +17,13 @@ from typing import Iterable, NamedTuple
 class Point(NamedTuple):
     x: float
     y: float
+
+
+# The largest coordinate a point may have, in absolute value.  A candidate
+# center starts from the midpoint ``(p.x + q.x) / 2`` of two points, and that
+# sum stays finite only up to half the largest double: two points on the
+# vertical line one double beyond it sum to infinity.
+MAX_COORDINATE = sys.float_info.max / 2
 
 
 class UnitDisk(NamedTuple):

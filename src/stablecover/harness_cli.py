@@ -11,7 +11,6 @@ and any invariant violation makes the process exit nonzero.
 from __future__ import annotations
 
 import argparse
-import math
 import random
 import sys
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from .adversary.streams import (
     build_line_instance,
     solve_hitting,
 )
-from .geometry import Point, UnitDisk, coverage_value, disk_churn
+from .geometry import MAX_COORDINATE, Point, UnitDisk, coverage_value, disk_churn
 from .sas_engine import EngineConfig, EngineState, UpdateReport, within_ratio
 from .static_solver import SolverBudgetError, SolverKind, solve
 
@@ -84,8 +83,10 @@ def parse_stream(text: str) -> UpdateStream:
         try:
             if parts[0] in ("insert", "delete") and len(parts) == 3:
                 p = Point(float(parts[1]), float(parts[2]))
-                if not (math.isfinite(p.x) and math.isfinite(p.y)):
-                    raise ValueError("coordinates must be finite")
+                if not (abs(p.x) <= MAX_COORDINATE and abs(p.y) <= MAX_COORDINATE):
+                    raise ValueError(
+                        f"coordinates must be finite and at most {MAX_COORDINATE!r} in size"
+                    )
                 point_events.append((parts[0], p))
             elif parts[0] == "line" and len(parts) == 4:
                 a, b, c = (_coefficient(tok) for tok in parts[1:])
@@ -123,8 +124,8 @@ def format_line_event(line: RationalLine) -> str:
 def gen_random(n: int, bbox: float, seed: int, delete_prob: float = 0.0) -> list[str]:
     if n < 0:
         raise ValueError(f"n must be at least 0, got {n}")
-    if not (math.isfinite(bbox) and bbox > 0):
-        raise ValueError(f"bbox must be finite and above 0, got {bbox}")
+    if not 0 < bbox <= MAX_COORDINATE:  # the points parse_stream accepts
+        raise ValueError(f"bbox must be above 0 and at most {MAX_COORDINATE!r}, got {bbox}")
     if not 0 <= delete_prob <= 1:
         raise ValueError(f"delete_prob must be between 0 and 1, got {delete_prob}")
     rng = random.Random(seed)

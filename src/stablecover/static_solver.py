@@ -48,7 +48,7 @@ import heapq
 import math
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator, KeysView
 
 from .geometry import (
     Assignment, Grid, Point, UnitDisk, assign_points, bit_grid, bucket, covered_bits, covers,
@@ -277,10 +277,12 @@ class CandidateIndex:
         self._sources: dict[UnitDisk, set[Source]] = {}
         self._center_of: dict[Source, UnitDisk] = {}
         self._order: list[Source] = []  # every live source, sorted
-        # A live view: the same object for as long as the index lives.
-        self.points = self._slot.keys()
         for p in points:
             self.add(p)
+
+    @property
+    def points(self) -> KeysView[Point]:
+        return self._slot.keys()
 
     def __contains__(self, p: Point) -> bool:
         return p in self._slot

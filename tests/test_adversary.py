@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -34,8 +35,10 @@ from stablecover.adversary.lines import (
 )
 from stablecover.adversary.streams import disk_churn
 from stablecover.geometry import Point
-from stablecover.harness_cli import RunConfig, gen_lines, parse_stream, run_lines, run_points
-from stablecover.sas_engine import StreamError
+from stablecover.harness_cli import (
+    EngineMaintainer, RunConfig, gen_lines, gen_random, parse_stream, run_lines, run_points,
+)
+from stablecover.sas_engine import EngineConfig, StreamError
 from stablecover.static_solver import (
     DEFAULT_NODE_BUDGET, SolverBudgetError, SolverKind, pad_disks, solve,
 )
@@ -374,7 +377,7 @@ def test_solve_hitting_builds_one_table_and_converts_only_chosen_points(kind, mo
         assert len(conversions) == 0  # the value alone converts no point
         pts = points()
         assert len(pts) == m
-        assert len(builds) == (1 if lines else 0)
+        assert len(builds) == 1  # one table per solve, an empty one for no lines
         assert len(conversions) <= m
     assert len(streams.hitting_candidates(arrived)) > 9  # many more candidates than m
 
@@ -419,6 +422,72 @@ def test_hitting_maintainer_triple_out_of_budget_changes_nothing(cls, module, fa
     mt.apply_triple(triples[3])
     clean.apply_triple(triples[3])
     assert mt.lines == clean.lines and mt.solution() == clean.solution()
+
+
+def test_hitting_maintainer_triple_that_breaks_the_table_changes_nothing():
+    """A triple whose second line cannot be added leaves no trace of its
+    first line."""
+    triples = parse_stream("\n".join(gen_lines(9, seed=1)) + "\n").line_steps
+    mt, clean = GreedyHittingMaintainer(9), GreedyHittingMaintainer(9)
+    for triple in triples[:2]:
+        mt.apply_triple(triple)
+        clean.apply_triple(triple)
+    lines, points = list(mt.lines), mt.solution()
+    with pytest.raises(AttributeError):
+        mt.apply_triple([triples[2][0], None])
+    assert mt.lines == lines and mt.solution() == points
+    cands = mt.table.candidates()
+    assert list(zip(cands._keys, cands.masks)) == list(streams._candidate_table(lines).items())
+    mt.apply_triple(triples[2])
+    clean.apply_triple(triples[2])
+    assert mt.lines == clean.lines and mt.solution() == clean.solution()
+
+
+# Each maintainer the harness replays, and the events of one stream for it.
+FORKED = {
+    "sas": lambda: EngineMaintainer("sas", EngineConfig(m=3, epsilon=0.25)),
+    "two_stable": lambda: EngineMaintainer("two_stable", EngineConfig(m=3, epsilon=0.25)),
+    "exact_maintainer": lambda: ExactMaintainer(3),
+    "exact_hitting": lambda: ExactHittingMaintainer(9),
+    "greedy_hitting": lambda: GreedyHittingMaintainer(9),
+}
+
+
+def _fork_events(name):
+    if name.endswith("_hitting"):
+        return parse_stream("\n".join(gen_lines(9, seed=1)) + "\n").line_steps
+    return parse_stream("\n".join(gen_random(40, 5.0, seed=3, delete_prob=0.3)) + "\n").point_events
+
+
+def _feed(mt, event):
+    return mt.apply_triple(event) if isinstance(event, list) else mt.apply(*event)
+
+
+def _held(mt):
+    """What an event may change: the points (or lines), the candidates with
+    their masks, and the solution."""
+    if hasattr(mt, "table"):
+        cands = mt.table.candidates()
+        return list(mt.lines), list(zip(cands._keys, cands.masks)), mt.solution()
+    index = mt.state.index if hasattr(mt, "state") else mt.index
+    return sorted(index.points), index.candidates(), mt.solution()
+
+
+@pytest.mark.parametrize("name", sorted(FORKED))
+def test_a_deep_copied_maintainer_forks(name):
+    """A copy taken mid-stream replays the rest as the original does, and
+    the events fed to the copy leave the original as it was."""
+    events = _fork_events(name)
+    half = len(events) // 2
+    mt = FORKED[name]()
+    for event in events[:half]:
+        _feed(mt, event)
+    held = _held(mt)
+    fork = copy.deepcopy(mt)
+    forked = [(_feed(fork, event), fork.solution()) for event in events[half:]]
+    assert _held(mt) == held
+    assert [(_feed(mt, event), mt.solution()) for event in events[half:]] == forked
+    assert _held(mt) == _held(fork)
 
 
 def test_edge_list_export_format():

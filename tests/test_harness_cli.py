@@ -1,7 +1,11 @@
+import math
+
 import pytest
 
 from stablecover.adversary.streams import GreedyHittingMaintainer
+from stablecover.geometry import MAX_COORDINATE
 from stablecover.harness_cli import (
+    POINT_ENGINES,
     HarnessError,
     RunConfig,
     _parse_overrides,
@@ -166,6 +170,10 @@ def test_run_rejects_invalid_m():
 
 
 LINE_TRIPLE = "line 1 0 0\nline 0 1 0\nline 1 1 -1\n"
+# Two points one apart on a vertical line at x = 8.98846567431158e+307, the
+# double above MAX_COORDINATE: the midpoint of the pair overflows.
+ABOVE_BOUND = math.nextafter(MAX_COORDINATE, math.inf)
+OVERFLOWING_PAIR = "insert {sign}8.98846567431158e+307 0\ninsert {sign}8.98846567431158e+307 1\n"
 
 
 @pytest.mark.parametrize(
@@ -173,6 +181,11 @@ LINE_TRIPLE = "line 1 0 0\nline 0 1 0\nline 1 1 -1\n"
     [
         (["run", "--stream", "STREAM"], "insert nan 1.0\n"),
         (["run", "--stream", "STREAM"], "insert 1.0 inf\n"),
+        *(
+            (["run", "--stream", "STREAM", "--engine", engine], OVERFLOWING_PAIR.format(sign=sign))
+            for engine in POINT_ENGINES for sign in ("", "-")
+        ),
+        (["run", "--stream", "STREAM"], f"insert 0 {ABOVE_BOUND!r}\ninsert 1 {ABOVE_BOUND!r}\n"),
         (["run", "--stream", "STREAM"], None),
         (["run", "--stream", "STREAM", "--scaled", "kappa=abc"], "insert 1.0 1.0\n"),
         (["run", "--stream", "STREAM", "--scaled", "foo=1"], "insert 1.0 1.0\n"),
@@ -181,6 +194,7 @@ LINE_TRIPLE = "line 1 0 0\nline 0 1 0\nline 1 1 -1\n"
         (["gen", "random", "--bbox", "nan"], None),
         (["gen", "random", "--bbox", "inf"], None),
         (["gen", "random", "--bbox", "0"], None),
+        (["gen", "random", "--bbox", repr(ABOVE_BOUND)], None),
         (["gen", "random", "--n", "-1"], None),
         (["gen", "random", "--delete-prob", "1.5"], None),
         (["gen", "random", "--delete-prob", "-0.1"], None),
@@ -210,9 +224,11 @@ LINE_TRIPLE = "line 1 0 0\nline 0 1 0\nline 1 1 -1\n"
                          "trivial_threshold=9,")
         ),
     ],
-    ids=["nan", "inf", "missing-stream", "scaled-not-a-number", "scaled-unknown-key",
+    ids=["nan", "inf",
+         *(f"above-bound-{engine}{sign}" for engine in POINT_ENGINES for sign in ("", "-neg")),
+         "above-bound-y", "missing-stream", "scaled-not-a-number", "scaled-unknown-key",
          "epsilon-out-of-range", "lines-m-not-divisible-by-3",
-         "bbox-nan", "bbox-inf", "bbox-zero", "n-negative", "delete-prob-above-1",
+         "bbox-nan", "bbox-inf", "bbox-zero", "bbox-above-bound", "n-negative", "delete-prob-above-1",
          "delete-prob-negative", "solver-budget", "exact-maintainer-budget", "node-budget-zero", "node-budget-negative",
          "exact-maintainer-bad-options", "greedy-hitting-epsilon", "exact-hitting-epsilon",
          "line-malformed-token",
@@ -229,6 +245,26 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, strea
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("engine", POINT_ENGINES)
+def test_points_at_the_coordinate_bound_replay(tmp_path, engine):
+    """Pairs one apart at x = +-MAX_COORDINATE and at y = +-MAX_COORDINATE
+    replay and verify on every point engine, and so does a ``gen random``
+    stream at the largest bbox."""
+    assert float("8.98846567431158e+307") == ABOVE_BOUND
+    b = MAX_COORDINATE
+    pairs = [(b, 0.0), (b, 1.0), (-b, 0.0), (-b, 1.0), (0.0, b), (1.0, b), (0.0, -b), (1.0, -b)]
+    bound = tmp_path / "bound.txt"
+    bound.write_text("".join(f"insert {x!r} {y!r}\n" for x, y in pairs))
+    gen = tmp_path / "gen.txt"
+    assert main(["gen", "random", "--n", "20", "--bbox", repr(b), "--delete-prob", "0.3",
+                 "--seed", "2", "--out", str(gen)]) == 0
+    for stream in (bound, gen):
+        replay = ["--stream", str(stream), "--engine", engine, "--m", "2"]
+        report = tmp_path / f"{stream.stem}.csv"
+        assert main(["run", *replay, "--out", str(report)]) == 0
+        assert main(["verify", *replay, "--report", str(report)]) == 0
 
 
 @pytest.mark.parametrize("text, named", [

@@ -17,25 +17,26 @@ coefficient token as ``Fraction`` does.
 
 The engines' ``HittingTable`` is checked against ``_candidate_table``, so
 against the reference through it: after every triple it must read the same
-keys, order and masks as the from-scratch table of the arrived lines, and
-undoing the triple must give back the table before it.
+keys, order and masks as the from-scratch table of the arrived lines.
 """
 
 import functools
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_adversary import concurrency_census
 
+from stablecover import static_solver
 from stablecover.adversary import lines as lines_module
 from stablecover.adversary import streams
 from stablecover.adversary.lines import RationalLine, verify_sparse
 from stablecover.harness_cli import HarnessError, gen_lines, parse_stream
-from stablecover.static_solver import SolverKind
+from stablecover.static_solver import SolverBudgetError, SolverKind
 
 
 def reference_normalized(a, b, c):
@@ -292,17 +293,13 @@ def assert_reads_candidate_table(table, lines):
 
 def assert_table_tracks(triples):
     """Extend a table triple by triple; after each, the table must read the
-    arrived lines' table, and undoing the triple must give back the last."""
+    arrived lines' table."""
     table = streams.HittingTable()
     arrived = []
     for triple in triples:
-        log = table.extend(triple)
-        assert_reads_candidate_table(table, arrived + list(triple))
-        table.undo(log)
-        assert table.lines == arrived
-        assert_reads_candidate_table(table, arrived)
         table.extend(triple)
         arrived += triple
+        assert_reads_candidate_table(table, arrived)
 
 
 def in_triples(lines):
@@ -371,13 +368,51 @@ def test_table_tracks_generated_line_sets(lines):
     assert_table_tracks(in_triples(lines))
 
 
+@pytest.mark.parametrize(
+    "cls, module, failing",
+    [
+        (streams.ExactHittingMaintainer, streams, "solve_hitting"),
+        (streams.GreedyHittingMaintainer, streams, "solve_hitting"),
+        # The value search succeeds; extracting the points raises.
+        (streams.ExactHittingMaintainer, static_solver, "_extract"),
+    ],
+    ids=["ExactHittingMaintainer", "GreedyHittingMaintainer", "ExactHittingMaintainer-extraction"],
+)
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(lines=line_sets(), data=st.data())
+def test_failed_triple_rolls_back_on_generated_line_sets(cls, module, failing, lines, data):
+    """A triple whose solve or extraction raises leaves the lines and the
+    points as they were and the table as the arrived lines' table, and the
+    maintainer then replays the triple and the rest as a clean one does."""
+    triples = in_triples(lines)
+    m = data.draw(st.integers(1, 3), label="m")
+    failed = data.draw(st.integers(0, len(triples) - 1), label="failed triple")
+    mt, clean = cls(m), cls(m)
+    for triple in triples[:failed]:
+        mt.apply_triple(triple)
+        clean.apply_triple(triple)
+    arrived, points = list(mt.lines), mt.solution()
+    with mock.patch.object(module, failing, side_effect=SolverBudgetError("out of budget")):
+        with pytest.raises(SolverBudgetError):
+            mt.apply_triple(triples[failed])
+    assert mt.lines == arrived and mt.solution() == points
+    assert_reads_candidate_table(mt.table, mt.lines)
+    for triple in triples[failed:]:
+        mt.apply_triple(triple)
+        clean.apply_triple(triple)
+        assert mt.lines == clean.lines and mt.solution() == clean.solution()
+        assert_reads_candidate_table(mt.table, mt.lines)
+
+
 @pytest.mark.parametrize("kind", [SolverKind.EXACT, SolverKind.GREEDY])
 def test_solve_hitting_of_a_table_matches_solve_of_its_lines(kind):
     def solved(lines_or_table, m):
         value, points = streams.solve_hitting(lines_or_table, m, kind)
         return value, points()
 
-    assert solved(streams.HittingTable(), 2) == solved([], 2)
+    # No lines: value 0 and the m far points, from the general path.
+    far = [streams._far_point(i, []) for i in range(2)]
+    assert solved(streams.HittingTable(), 2) == solved([], 2) == (0, far)
     for ms, lines, _, _ in reference_cases():
         table = streams.HittingTable(lines)
         for m in ms:

@@ -7,17 +7,17 @@ stream at the benchmark's scaled constants through the greedy and the exact
 oracle, a repair-heavy 1200-event stream at m=32 on 8x8 shifted grids, the
 2-stable baseline,
 the exact maintainer (random, half-unit lattice and lower-bound streams) and
-the hitting maintainers on line streams (greedy at m 6, 9 and 12, exact at
-m 6 and 9).  The generated line text at m 9, 12, 30, 60 and 120 has
+the hitting maintainers on line streams (greedy at m 6, 9, 12 and 15, exact
+at m 6 and 9).  The generated line text at m 9, 12, 30, 60 and 120 has
 digests of its own, and so has the text of every recorded ``lines-greedy``
 benchmark chunk, whose report digests cannot see the line coefficients.
-The CI workflow's ``python -O`` replays and its paper-scale drawing must
-check the digests here, and its benchmark step must run every workload at
-the seed ``bench/expected.json`` records digests for.  That step's short
-runs reach only the first chunks of each workload, so a chunk from the
-middle and the last chunk of each recorded list are replayed here, and a
-second CI step replays every recorded chunk; its script is run here over
-the first two chunks of each workload.
+The rows of the CI workflow's ``python -O`` replay table and its
+paper-scale drawing must check the digests here, and its benchmark step must
+run every workload at the seed ``bench/expected.json`` records digests for.
+That step's short runs reach only the first chunks of each workload, so a
+chunk from the middle and the last chunk of each recorded list are replayed
+here, and a second CI step replays every recorded chunk; its script is run
+here over the first two chunks of each workload.
 """
 
 import functools
@@ -35,6 +35,7 @@ from stablecover.adversary import lines as lines_module
 from stablecover.geometry import Point
 from stablecover.harness_cli import (
     RunConfig,
+    _parse_overrides,
     format_point_event,
     gen_lines,
     gen_lower_bound,
@@ -163,6 +164,10 @@ CASES = {
         RunConfig(engine="exact_hitting", m=9), gen_lines(9, seed=1),
         "ac486b1b8abb3e344d064d144accff074e49e07cec2f91d1022cdde146f02f0a",
     ),
+    "greedy-hitting-m15": (
+        RunConfig(engine="greedy_hitting", m=15), gen_lines(15, seed=1),
+        "6da3dbf10d52b8264bc8198e9ac0a95ac2b92d93a5f6a03de121be06b1873001",
+    ),
 }
 
 # The generated line streams themselves: their text pins the drawing, that
@@ -262,35 +267,77 @@ def _step_body(step: str) -> str:
     return WORKFLOW.read_text().split(step, 1)[1].split("- name: ", 1)[0]
 
 
-# The workflow steps that replay a pinned point stream under ``python -O``.
-CI_REPLAYS = {
-    "sas-greedy-fallbacks": "Scaled-mode fallback stream under -O",
-    "sas-greedy-sparse": "Sparse greedy stream under -O",
-    "sas-exact-sparse": "Sparse exact stream under -O",
-    "sas-greedy-m32": "Repair-heavy m=32 stream under -O",
-}
+PINNED_STEP = "- name: Pinned replays under -O\n"
 
 
-@pytest.mark.parametrize("name", sorted(CI_REPLAYS))
+@functools.cache
+def _pinned_rows() -> dict[str, tuple[str, str, str]]:
+    """The pinned-replay step's table: each row's name mapped to its gen
+    arguments, replay arguments and report digest."""
+    table = _step_body(PINNED_STEP).split("<<'EOF'\n", 1)[1].rsplit("EOF", 1)[0]
+    rows = [row.split("|") for row in textwrap.dedent(table).splitlines()]
+    assert all(len(row) == 4 for row in rows)
+    names = [row[0] for row in rows]
+    assert len(set(names)) == len(names)
+    return {name: tuple(rest) for name, *rest in rows}
+
+
+def _replay_config(args: str) -> RunConfig:
+    """The run settings that ``run``'s options ``args`` select."""
+    tokens = args.split()
+    opts = dict(zip(tokens[::2], tokens[1::2]))
+    scaled = opts.pop("--scaled", None)
+    config = RunConfig(
+        engine=opts.pop("--engine"),
+        m=int(opts.pop("--m")),
+        epsilon=float(opts.pop("--epsilon", RunConfig.epsilon)),
+        solver=SolverKind(opts.pop("--solver", RunConfig.solver.value)),
+        scaled=None if scaled is None else _parse_overrides(scaled),
+    )
+    assert not opts
+    return config
+
+
+def _generated(args: str) -> list[str]:
+    """The rows that ``gen``'s arguments ``args`` write."""
+    kind, *rest = args.split()
+    opts = dict(zip(rest[::2], rest[1::2]))
+    if kind == "lines":
+        assert opts.keys() == {"--m", "--seed"}
+        return gen_lines(int(opts["--m"]), int(opts["--seed"]))
+    assert kind == "random" and opts.keys() == {"--n", "--bbox", "--seed", "--delete-prob"}
+    return gen_random(int(opts["--n"]), float(opts["--bbox"]), int(opts["--seed"]),
+                      float(opts["--delete-prob"]))
+
+
+# The cases the pinned-replay step checks under ``python -O``.
+CI_REPLAYS = (
+    "sas-greedy-fallbacks", "sas-greedy-sparse", "sas-exact-sparse", "sas-greedy-m32",
+    "exact-hitting-m9", "greedy-hitting-m9", "greedy-hitting-m15",
+)
+
+
+def test_ci_pinned_step_replays_each_row():
+    """Every row is generated, run, verified and checked under ``-O``, and
+    the table holds the named cases and no other row."""
+    body = _step_body(PINNED_STEP)
+    assert sorted(_pinned_rows()) == sorted(CI_REPLAYS)
+    assert 'python -O -m stablecover gen $gen --out "$stream"' in body
+    assert 'python -O -m stablecover run --stream "$stream" $replay --out "$report"' in body
+    assert 'python -O -m stablecover verify --stream "$stream" $replay --report "$report"' in body
+    assert 'echo "$digest  $report" | sha256sum -c' in body
+
+
+@pytest.mark.parametrize("name", CI_REPLAYS)
 def test_ci_replay_matches_its_case(name):
-    """The step generates the case's stream, replays it with the case's
+    """The step's row generates the case's stream, replays it with the case's
     settings and checks the case's digest, so re-recording a digest here
     cannot leave CI checking a stale one."""
-    body = _step_body(f"- name: {CI_REPLAYS[name]}\n")
-    config, rows, digest = CASES[name]
-    scaled = re.search(r"SCALED: (\S+)", body).group(1)
-    assert dict(item.split("=") for item in scaled.split(",")) == {
-        key: str(value) for key, value in config.scaled.items()
-    }
-    n, bbox, seed, delete_prob = re.search(
-        r"gen random --n (\d+) --bbox (\S+) --seed (\d+) --delete-prob (\S+)", body
-    ).groups()
-    assert gen_random(int(n), float(bbox), int(seed), float(delete_prob)) == rows
-    assert (
-        f"--engine {config.engine} --m {config.m} --solver {config.solver.value}"
-        f" --epsilon {config.epsilon} --scaled $SCALED"
-    ) in body
-    assert re.search(r'echo "([0-9a-f]{64})  \$report" \| sha256sum -c', body).group(1) == digest
+    gen, replay, digest = _pinned_rows()[name]
+    config, rows, expected = CASES[name]
+    assert _generated(gen) == rows
+    assert _replay_config(replay) == config
+    assert digest == expected
 
 
 DRAWING_STEP = "- name: Paper-scale line drawing under -O\n"
@@ -301,27 +348,6 @@ def test_ci_drawing_step_checks_its_digest():
     body = _step_body(DRAWING_STEP)
     assert "gen lines --m 120 --seed 1 --out \"$stream\"" in body
     assert f'echo "{GEN_LINES[120]}  $stream" | sha256sum -c' in body
-
-
-LINE_STEP = "- name: Line streams under -O\n"
-LINE_REPLAYS = ("exact-hitting-m9", "greedy-hitting-m9")
-
-
-def test_ci_line_step_matches_its_cases():
-    """The line step generates the cases' stream, replays it through each
-    case's engine with the case's settings and checks that case's digest."""
-    body = _step_body(LINE_STEP)
-    m, seed = map(int, re.search(r"gen lines --m (\d+) --seed (\d+)", body).groups())
-    checks = re.search(r"for check in (.*?); do", body, re.S).group(1).replace("\\", " ").split()
-    assert dict(check.split(":") for check in checks) == {
-        CASES[name][0].engine: CASES[name][2] for name in LINE_REPLAYS
-    }
-    for name in LINE_REPLAYS:
-        config, rows, _ = CASES[name]
-        assert config == RunConfig(engine=config.engine, m=m)
-        assert rows == gen_lines(m, seed)
-    assert f'replay="--stream $stream --engine $engine --m {m}"' in body
-    assert 'echo "${check#*:}  $report" | sha256sum -c' in body
 
 
 BENCH_STEP = "- name: Benchmark runs at the recorded seed\n"
