@@ -252,8 +252,8 @@ def select_grid(
     opt_assignment: Assignment,
     alg_assignment: Assignment,
     epsilon: float,
-    edge: float | None = None,
-    shifts: int | None = None,
+    edge: float,
+    shifts: int,
 ) -> GridSpec:
     """First grid (row-major shift scan) whose boundary disks cover few points.
 
@@ -270,10 +270,6 @@ def select_grid(
     shift, since a grid's x lines depend only on ``shift_i`` and its y lines
     only on ``shift_j``; the scan then only sums.
     """
-    if shifts is None:
-        shifts = grid_shift_count(epsilon)
-    if edge is None:
-        edge = 2.0 * shifts
     budget = Fraction(str(epsilon)) * len(opt_assignment) / 2
     held: Counter[Point] = Counter()
     for disks, assignment in ((opt_disks, opt_assignment), (alg_disks, alg_assignment)):

@@ -9,15 +9,19 @@ for ``solve`` and for the line-hitting solver in :mod:`stablecover.adversary`.
 The exact search has two phases that draw on one node budget: a value search
 over the distinct coverage masks, then the extraction of the canonical index
 set, which continues the same node count.  Extraction walks the indices in
-order and takes each one that still leaves a completion to the optimum, which
-a stop-at-target search decides.  ``solve`` computes candidates, masks and
-the value eagerly; the returned :class:`Solution` builds its disks and
-assignment only when one of them is first read.  A caller that reads only
-``value`` never runs extraction, so a value-only solve can succeed under a
-budget that both phases together exceed: on four draws of 200 uniform points
-in a 10x10 box at ``m=4`` the value search takes 27 to 12.6k nodes and
-extraction 4.1k to 13.3k.  Both phases are explicit-stack loops whose depth
-is bounded by ``m``, never by the number of masks.
+order and takes each one that still leaves a completion to the optimum.  Both
+phases run one branch and bound, :func:`_search`, which looks for the best
+union above a floor and returns at the first union that reaches a ceiling:
+the value search from 0 up to the union of all masks, and each of
+extraction's completion tests from one below the bits it needs up to them.
+``solve`` computes candidates, masks and the value eagerly; the returned
+:class:`Solution` builds its disks and assignment only when one of them is
+first read.  A caller that reads only ``value`` never runs extraction, so a
+value-only solve can succeed under a budget that both phases together
+exceed: on four draws of 200 uniform points in a 10x10 box at ``m=4`` the
+value search takes 27 to 12.6k nodes and extraction 4.1k to 13.3k.  The
+search is an explicit-stack loop whose depth is bounded by ``m``, never by
+the number of masks.
 
 Candidates and masks come from one of two paths.  Called with the points,
 ``solve`` builds them from scratch in one table (:func:`_candidate_table`):
@@ -47,7 +51,9 @@ import bisect
 import heapq
 import math
 from enum import Enum
+from functools import reduce
 from itertools import accumulate
+from operator import or_
 from typing import Callable, Collection, Iterable, Iterator, KeysView
 
 from .geometry import (
@@ -373,7 +379,10 @@ def max_coverage_masks(
     the value (:func:`_extract`).  Greedy: both run here, and ``pick()``
     gives the indices in pick order."""
     if kind is SolverKind.EXACT:
-        value, nodes = _best_value(masks, m, node_budget)
+        value = nodes = 0
+        if m > 0 and masks:
+            total = reduce(or_, masks).bit_count()
+            value, _, nodes = _search(masks, m, 0, total, 0, node_budget)
         return value, lambda: _extract(masks, m, value, nodes, node_budget)
     value, indices = _greedy_masks(masks, m)
     return value, indices.copy
@@ -383,27 +392,26 @@ def _budget_error(node_budget: int) -> SolverBudgetError:
     return SolverBudgetError(f"exceeded {node_budget} search nodes")
 
 
-def _best_value(masks: list[int], m: int, node_budget: int) -> tuple[int, int]:
-    """Phase 1: the largest union of ``m`` masks and the search nodes it took.
+def _search(
+    masks: list[int], slots: int, floor: int, ceiling: int, nodes: int, node_budget: int
+) -> tuple[int, list[int] | None, int]:
+    """The size of the largest union above ``floor`` of at most ``slots`` of
+    ``masks`` (``floor`` if none is larger), or of the first union found that
+    reaches ``ceiling``, where the search returns; that union's masks, or
+    None if no union reaches ``ceiling``; and the node count after the search.
 
     Branch and bound over the distinct masks sorted by coverage (descending,
     ties by first occurrence).  Each node takes the next mask before skipping
     it; a skip waits on the stack until the take's subtree is done, so the
-    stack holds at most one entry per taken mask.
+    stack holds one entry per mask taken on the current path, at the position
+    after that mask.  A branch whose union plus the coverages of its next
+    ``slots`` masks cannot beat the best union so far is cut.
     """
-    if m <= 0 or not masks:
-        return 0, 0
-    ordered = sorted(dict.fromkeys(masks), key=lambda mk: -mk.bit_count())
+    ordered = sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True)
     n = len(ordered)
-    prefix = [0]
-    union = 0
-    for mk in ordered:
-        prefix.append(prefix[-1] + mk.bit_count())
-        union |= mk
-    total = union.bit_count()
-
-    best = nodes = 0
-    stack = [(0, min(m, len(masks)), 0, 0)]  # (position, slots, union, value)
+    prefix = list(accumulate(map(int.bit_count, ordered), initial=0))
+    best = floor
+    stack = [(0, slots, 0, 0)]  # (position, slots, union, value)
     while stack:
         pos, slots, mask, val = stack.pop()
         while True:
@@ -411,10 +419,10 @@ def _best_value(masks: list[int], m: int, node_budget: int) -> tuple[int, int]:
             if nodes > node_budget:
                 raise _budget_error(node_budget)
             if val > best:
+                if val >= ceiling:
+                    return val, [ordered[entry[0] - 1] for entry in stack], nodes
                 best = val
-            if slots == 0 or pos == n or best == total:
-                break
-            if val + prefix[min(pos + slots, n)] - prefix[pos] <= best:
+            if slots == 0 or val + prefix[min(pos + slots, n)] - prefix[pos] <= best:
                 break
             gain = ordered[pos] & ~mask
             pos += 1
@@ -423,7 +431,7 @@ def _best_value(masks: list[int], m: int, node_budget: int) -> tuple[int, int]:
                 mask |= gain
                 val += gain.bit_count()
                 slots -= 1
-    return best, nodes
+    return best, None, nodes
 
 
 def _extract(
@@ -436,19 +444,21 @@ def _extract(
     can both appear in it.  Prefix feasibility: with ``slots`` picks left,
     the walk takes the first index ``j`` whose union with the picks so far
     reaches ``best``, or whose residual ``need`` the ``slots - 1`` masks
-    after ``j`` can still cover (:func:`_reaches`).  An index that fails is
-    never tried again.  The search does not count the indices after ``j``:
-    some ``m``-tuple reaches ``best``, so the first index it accepts leaves
-    ``slots - 1`` after it.  A search that succeeds gives a completion, and
-    the walk takes the completion's next index with no search once it gets
-    there.  From the first failure on, a suffix maximum of the coverages
-    rejects ``j`` without a search when ``slots - 1`` copies of the largest
-    one after ``j`` fall short of ``need``.  The count continues from the
-    ``nodes`` phase 1 spent, under the same budget: one node per tested
-    index, plus the searches' nodes.  The budget counts search nodes only,
-    not each search's O(n log n) residual build, so it does not bound
-    extraction's wall time: 200 points in a 10x10 box at seed 2 (m=4, 4276
-    masks) take 13,252 nodes and about 1 s.
+    after ``j`` can still cover: :func:`_search` over their residual masks,
+    with a floor of ``need - 1`` and a ceiling of ``need``, gives the masks
+    of a completion, which the walk reads at their first indices, or None.
+    An index that fails is never tried again.  The search does not count the
+    indices after ``j``: some ``m``-tuple reaches ``best``, so the first
+    index it accepts leaves ``slots - 1`` after it.  The walk takes the
+    completion's next index with no search once it gets there.  From the
+    first failure on, a suffix maximum of the coverages rejects ``j``
+    without a search when ``slots - 1`` copies of the largest one after
+    ``j`` fall short of ``need``.  The count continues from the ``nodes``
+    phase 1 spent, under the same budget: one node per tested index, plus
+    the searches' nodes.  The budget counts search nodes only, not each
+    search's O(n log n) residual build, so it does not bound extraction's
+    wall time: 200 points in a 10x10 box at seed 2 (m=4, 4276 masks) take
+    13,252 nodes and about 1 s.
     """
     if m <= 0 or not masks:
         return []
@@ -469,63 +479,21 @@ def _extract(
         elif need > 0:
             if slots == 1 or suffix_max is not None and (slots - 1) * suffix_max[j + 1] < need:
                 continue
-            found, nodes = _reaches(masks, j + 1, covered, slots - 1, need, nodes, node_budget)
+            free = ~covered
+            residuals = [mk & free for mk in masks[j + 1:]]
+            _, found, nodes = _search(residuals, slots - 1, need - 1, need, nodes, node_budget)
             if found is None:
                 if suffix_max is None:
                     pops = map(int.bit_count, reversed(masks))
                     suffix_max = list(accumulate(pops, max, initial=0))[::-1]
                 continue
-            completion = found
+            completion = sorted(j + 1 + residuals.index(mk) for mk in found)
         chosen.append(j)
         slots -= 1
         if not slots:
             return chosen
         union = covered
     raise SolverInvariantError("extraction must succeed once the optimum value is known")
-
-
-def _reaches(
-    masks: list[int], start: int, covered: int, slots: int, need: int, nodes: int, node_budget: int
-) -> tuple[list[int] | None, int]:
-    """At most ``slots`` indices in ``masks[start:]``, ascending, whose masks
-    cover ``need`` bits outside ``covered`` (each the first with its
-    residual mask), or None if there are none; and the node count after the
-    search.
-
-    A stop-at-target branch and bound over the distinct nonzero residual
-    masks sorted by coverage (descending, ties by first occurrence), which
-    returns at the first node that reaches ``need``.  Like
-    :func:`_best_value`, each node takes the next mask before skipping it.
-    Building, deduping and sorting the residuals costs O(n log n) in the
-    masks after ``start`` on every call and spends no node.
-    """
-    free = ~covered
-    residuals = [mk & free for mk in masks[start:]]
-    distinct = dict.fromkeys(residuals)
-    distinct.pop(0, None)
-    ordered = sorted(distinct, key=int.bit_count, reverse=True)  # stable: ties keep their order
-    n = len(ordered)
-    prefix = list(accumulate(map(int.bit_count, ordered), initial=0))
-    stack = [(0, slots, 0, 0, ())]  # (position, slots, union, value, positions taken)
-    while stack:
-        pos, slots, mask, val, taken = stack.pop()
-        while True:
-            nodes += 1
-            if nodes > node_budget:
-                raise _budget_error(node_budget)
-            if val >= need:
-                return sorted(start + residuals.index(ordered[p]) for p in taken), nodes
-            if slots == 0 or val + prefix[min(pos + slots, n)] - prefix[pos] < need:
-                break
-            gain = ordered[pos] & ~mask
-            if gain:
-                stack.append((pos + 1, slots, mask, val, taken))
-                mask |= gain
-                val += gain.bit_count()
-                slots -= 1
-                taken += (pos,)
-            pos += 1
-    return None, nodes
 
 
 def _greedy_masks(masks: list[int], m: int) -> tuple[int, list[int]]:

@@ -247,7 +247,7 @@ def test_criterion_6_grid_selection():
         a_alg = assign_points(pts, alg_disks)
         if len(a_opt) <= (1 + eps) * len(a_alg):
             continue
-        grid = select_grid(opt_disks, alg_disks, a_opt, a_alg, eps)
+        grid = select_grid(opt_disks, alg_disks, a_opt, a_alg, eps, edge=64.0, shifts=32)
         recount = 0
         for disks, assignment in ((opt_disks, a_opt), (alg_disks, a_alg)):
             for p, idx in assignment.items():

@@ -252,7 +252,7 @@ def test_select_grid_all_internal_returns_first():
     disks = [UnitDisk(Point(32.0, 32.0))]
     pts = [Point(32.0, 32.0)]
     a = assign_points(pts, disks)
-    g = select_grid(disks, disks, a, a, 0.25)
+    g = select_grid(disks, disks, a, a, 0.25, edge=64.0, shifts=32)
     assert (g.shift_i, g.shift_j) == (0, 0)
 
 
@@ -265,7 +265,7 @@ def test_select_grid_skips_past_straddling_disk():
     opt_pts = [Point(32.0 + dx, 32.0) for dx in (0.0, 0.1, 0.2, 0.3)]
     opt_disks = [UnitDisk(Point(32.0, 32.0))]
     a_opt = assign_points(opt_pts, opt_disks)
-    g = select_grid(opt_disks, disks, a_opt, a_alg, 0.25)
+    g = select_grid(opt_disks, disks, a_opt, a_alg, 0.25, edge=64.0, shifts=32)
     assert g.shift_i == 1 and g.shift_j == 0
 
 
@@ -281,7 +281,7 @@ def test_select_grid_postcondition_recount():
         a_alg = assign_points(pts, alg_disks)
         if len(a_opt) <= (1 + eps) * len(a_alg):
             continue
-        g = select_grid(opt_disks, alg_disks, a_opt, a_alg, eps)
+        g = select_grid(opt_disks, alg_disks, a_opt, a_alg, eps, edge=64.0, shifts=32)
         total = boundary_assigned_count(opt_disks, a_opt, g) + boundary_assigned_count(
             alg_disks, a_alg, g
         )
@@ -305,8 +305,8 @@ def grid_selection_cases(draw):
     exactly 1 from a grid line (internal) or cross it by half a unit;
     assignments hold a drawn number of points per disk."""
     shifts = draw(st.sampled_from((1, 2, 4, 8)))
-    edge = draw(st.sampled_from((None, 4.0, 16.0)))
-    span = int(edge or 2.0 * shifts) * 2
+    edge = draw(st.sampled_from((2.0 * shifts, 4.0, 16.0)))
+    span = int(edge) * 2
     coord = st.integers(-2, 2 * span).map(lambda k: k / 2)
     center = st.builds(Point, coord, coord)
 
@@ -349,7 +349,7 @@ def test_select_grid_matches_reference(case):
     opt_disks, alg_disks, *_, edge, shifts = case
     for i in range(shifts):
         for j in range(shifts):
-            grid = GridSpec(edge or 2.0 * shifts, i, j)
+            grid = GridSpec(edge, i, j)
             for d in opt_disks + alg_disks:
                 assert is_boundary(d, grid) == reference_is_boundary(d, grid)
 

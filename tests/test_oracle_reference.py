@@ -8,10 +8,17 @@ greedy loop that the lazy ``_greedy_masks`` replaced, likewise verbatim.
 ``reference_solve`` is the eager ``solve`` built on the two.
 ``reference_extract`` is the iterative depth-first extraction that the
 prefix-feasibility ``_extract`` replaced, with its ``_prefix_sums``, kept
-verbatim apart from its name.
+verbatim apart from its name.  ``reference_best_value`` and
+``reference_reaches`` are the value search and the stop-at-target search that
+the one ``_search`` replaced, and ``reference_prefix_extract`` is the
+``_extract`` that called the latter, all three verbatim apart from their
+names.
 """
 
 import random
+from functools import reduce
+from itertools import accumulate, combinations
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,10 +32,10 @@ from stablecover.static_solver import (
     SolverBudgetError,
     SolverInvariantError,
     SolverKind,
-    _best_value,
     _budget_error,
     _extract,
     _greedy_masks,
+    _search,
     candidate_disks,
     coverage_masks,
     max_coverage_masks,
@@ -180,6 +187,151 @@ def _prefix_sums(values: list[int]) -> list[int]:
     for v in values:
         out.append(out[-1] + v)
     return out
+
+
+def reference_best_value(masks: list[int], m: int, node_budget: int) -> tuple[int, int]:
+    """Phase 1: the largest union of ``m`` masks and the search nodes it took.
+
+    Branch and bound over the distinct masks sorted by coverage (descending,
+    ties by first occurrence).  Each node takes the next mask before skipping
+    it; a skip waits on the stack until the take's subtree is done, so the
+    stack holds at most one entry per taken mask.
+    """
+    if m <= 0 or not masks:
+        return 0, 0
+    ordered = sorted(dict.fromkeys(masks), key=lambda mk: -mk.bit_count())
+    n = len(ordered)
+    prefix = [0]
+    union = 0
+    for mk in ordered:
+        prefix.append(prefix[-1] + mk.bit_count())
+        union |= mk
+    total = union.bit_count()
+
+    best = nodes = 0
+    stack = [(0, min(m, len(masks)), 0, 0)]  # (position, slots, union, value)
+    while stack:
+        pos, slots, mask, val = stack.pop()
+        while True:
+            nodes += 1
+            if nodes > node_budget:
+                raise _budget_error(node_budget)
+            if val > best:
+                best = val
+            if slots == 0 or pos == n or best == total:
+                break
+            if val + prefix[min(pos + slots, n)] - prefix[pos] <= best:
+                break
+            gain = ordered[pos] & ~mask
+            pos += 1
+            if gain:
+                stack.append((pos, slots, mask, val))
+                mask |= gain
+                val += gain.bit_count()
+                slots -= 1
+    return best, nodes
+
+
+def reference_reaches(
+    masks: list[int], start: int, covered: int, slots: int, need: int, nodes: int, node_budget: int
+) -> tuple[list[int] | None, int]:
+    """At most ``slots`` indices in ``masks[start:]``, ascending, whose masks
+    cover ``need`` bits outside ``covered`` (each the first with its
+    residual mask), or None if there are none; and the node count after the
+    search.
+
+    A stop-at-target branch and bound over the distinct nonzero residual
+    masks sorted by coverage (descending, ties by first occurrence), which
+    returns at the first node that reaches ``need``.  Like
+    :func:`reference_best_value`, each node takes the next mask before skipping it.
+    Building, deduping and sorting the residuals costs O(n log n) in the
+    masks after ``start`` on every call and spends no node.
+    """
+    free = ~covered
+    residuals = [mk & free for mk in masks[start:]]
+    distinct = dict.fromkeys(residuals)
+    distinct.pop(0, None)
+    ordered = sorted(distinct, key=int.bit_count, reverse=True)  # stable: ties keep their order
+    n = len(ordered)
+    prefix = list(accumulate(map(int.bit_count, ordered), initial=0))
+    stack = [(0, slots, 0, 0, ())]  # (position, slots, union, value, positions taken)
+    while stack:
+        pos, slots, mask, val, taken = stack.pop()
+        while True:
+            nodes += 1
+            if nodes > node_budget:
+                raise _budget_error(node_budget)
+            if val >= need:
+                return sorted(start + residuals.index(ordered[p]) for p in taken), nodes
+            if slots == 0 or val + prefix[min(pos + slots, n)] - prefix[pos] < need:
+                break
+            gain = ordered[pos] & ~mask
+            if gain:
+                stack.append((pos + 1, slots, mask, val, taken))
+                mask |= gain
+                val += gain.bit_count()
+                slots -= 1
+                taken += (pos,)
+            pos += 1
+    return None, nodes
+
+
+def reference_prefix_extract(
+    masks: list[int], m: int, best: int, nodes: int, node_budget: int
+) -> list[int]:
+    """Phase 2: the lexicographically smallest ascending tuple of ``m`` indices
+    (at most ``len(masks)``) whose union is ``best``.
+
+    Runs over the full, undeduped list: zero-marginal picks and duplicates
+    can both appear in it.  Prefix feasibility: with ``slots`` picks left,
+    the walk takes the first index ``j`` whose union with the picks so far
+    reaches ``best``, or whose residual ``need`` the ``slots - 1`` masks
+    after ``j`` can still cover (:func:`reference_reaches`).  An index that fails is
+    never tried again.  The search does not count the indices after ``j``:
+    some ``m``-tuple reaches ``best``, so the first index it accepts leaves
+    ``slots - 1`` after it.  A search that succeeds gives a completion, and
+    the walk takes the completion's next index with no search once it gets
+    there.  From the first failure on, a suffix maximum of the coverages
+    rejects ``j`` without a search when ``slots - 1`` copies of the largest
+    one after ``j`` fall short of ``need``.  The count continues from the
+    ``nodes`` phase 1 spent, under the same budget: one node per tested
+    index, plus the searches' nodes.  The budget counts search nodes only,
+    not each search's O(n log n) residual build, so it does not bound
+    extraction's wall time: 200 points in a 10x10 box at seed 2 (m=4, 4276
+    masks) take 13,252 nodes and about 1 s.
+    """
+    if m <= 0 or not masks:
+        return []
+    n = len(masks)
+    slots = min(m, n)
+    chosen: list[int] = []
+    union = 0
+    suffix_max: list[int] | None = None  # [j]: the largest coverage in masks[j:]
+    completion: list[int] = []  # later indices that complete the picks to ``best``
+    for j in range(n):
+        nodes += 1
+        if nodes > node_budget:
+            raise _budget_error(node_budget)
+        covered = union | masks[j]
+        need = best - covered.bit_count()
+        if completion and completion[0] == j:
+            del completion[0]
+        elif need > 0:
+            if slots == 1 or suffix_max is not None and (slots - 1) * suffix_max[j + 1] < need:
+                continue
+            found, nodes = reference_reaches(masks, j + 1, covered, slots - 1, need, nodes, node_budget)
+            if found is None:
+                if suffix_max is None:
+                    pops = map(int.bit_count, reversed(masks))
+                    suffix_max = list(accumulate(pops, max, initial=0))[::-1]
+                continue
+            completion = found
+        chosen.append(j)
+        slots -= 1
+        if not slots:
+            return chosen
+        union = covered
+    raise SolverInvariantError("extraction must succeed once the optimum value is known")
 
 
 def reference_greedy_masks(masks, m):
@@ -343,6 +495,65 @@ def test_extraction_matches_reference(case):
     assert pick() == reference_extract(masks, m, value, 0, DEFAULT_NODE_BUDGET)
 
 
+@example(([1, 2], 2))
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(mask_lists())
+def test_one_search_matches_the_two_it_replaced(case):
+    """Values, picks and extraction's node spend are the references'; phase 1
+    spends ``reference_best_value``'s nodes when the optimum is below the
+    union of all masks, and otherwise stops where the reference began to
+    drain its stack, one node per pending skip, that is per mask taken."""
+    masks, m = case
+    value, pick = max_coverage_masks(masks, m)
+    ref_value, ref_nodes = reference_best_value(masks, m, DEFAULT_NODE_BUDGET)
+    assert value == ref_value
+    assert pick() == reference_prefix_extract(masks, m, value, 0, DEFAULT_NODE_BUDGET)
+    assert smallest_budget(lambda b: _extract(masks, m, value, 0, b)) == smallest_budget(
+        lambda b: reference_prefix_extract(masks, m, value, 0, b)
+    )
+    nodes = smallest_budget(lambda b: max_coverage_masks(masks, m, node_budget=b))
+    union = reduce(or_, masks).bit_count()
+    _, picks, searched = _search(masks, m, 0, union, 0, DEFAULT_NODE_BUDGET)
+    assert searched == nodes
+    if value < union:
+        assert picks is None and nodes == ref_nodes
+    else:
+        assert nodes + len(picks or ()) == ref_nodes
+
+
+def test_search_meets_its_contract_by_brute_force():
+    """``_search`` returns a union of at most ``slots`` distinct masks that
+    beats ``floor`` and reaches ``ceiling`` when one exists, and otherwise
+    the best union, or ``floor`` if none beats it; it spends at least one
+    node, and the count it returns is the smallest budget that lets it
+    finish."""
+    rng = random.Random(29)
+    for _ in range(3000):
+        bits = rng.randint(1, 8)
+        masks = [rng.getrandbits(bits) & rng.getrandbits(bits) for _ in range(rng.randint(0, 9))]
+        slots = rng.randint(0, 4)
+        floor = rng.randint(0, bits)
+        ceiling = rng.randint(0, bits + 1)
+        start = rng.randint(0, 3)
+        distinct = set(masks)
+        best = max(
+            reduce(or_, picked, 0).bit_count()
+            for k in range(min(slots, len(distinct)) + 1)
+            for picked in combinations(distinct, k)
+        )
+        value, picks, nodes = _search(masks, slots, floor, ceiling, start, DEFAULT_NODE_BUDGET)
+        if best > floor and best >= ceiling:
+            assert picks is not None
+            assert len(set(picks)) == len(picks) <= slots and set(picks) <= distinct
+            assert value == reduce(or_, picks, 0).bit_count()
+            assert value > floor and value >= ceiling
+        else:
+            assert picks is None and value == max(floor, best)
+        assert nodes > start
+        with pytest.raises(SolverBudgetError):
+            _search(masks, slots, floor, ceiling, start, nodes - 1)
+
+
 def sliding_window(seed, window=8, box=4.5, steady=16):
     """``window`` inserts in a ``box`` square, then pairs of one insert and
     one random delete: the benchmark's dense point streams."""
@@ -368,9 +579,29 @@ def test_replayed_extractions_match_reference(monkeypatch):
         return picked
 
     monkeypatch.setattr(static_solver, "_extract", both)
+    replay_dense_windows()
+    assert len(checked) == 30 * 24
+
+
+def replay_dense_windows():
     for seed in range(30):
         run(RunConfig(engine="exact_maintainer", m=4), parse_stream("\n".join(sliding_window(seed)) + "\n"))
-    assert len(checked) == 30 * 24
+
+
+def test_replayed_node_totals(monkeypatch):
+    """Over the same replays, the maintainer's solves spend 22,223 value
+    search nodes (24,623 before the search stopped at the union of all
+    masks) and 44,398 extraction nodes (unchanged)."""
+    totals = [0, 0]
+
+    def counted(masks, m, best, nodes, node_budget):
+        totals[0] += nodes
+        totals[1] += smallest_budget(lambda b: _extract(masks, m, best, 0, b))
+        return _extract(masks, m, best, nodes, node_budget)
+
+    monkeypatch.setattr(static_solver, "_extract", counted)
+    replay_dense_windows()
+    assert totals == [22_223, 44_398]
 
 
 @pytest.mark.parametrize(
@@ -398,6 +629,6 @@ def test_replayed_extractions_match_reference(monkeypatch):
     ],
 )
 def test_extraction_nodes_by_hand(masks, picked, extraction_nodes):
-    value, nodes = _best_value(masks, 3, DEFAULT_NODE_BUDGET)
-    assert _extract(masks, 3, value, nodes, DEFAULT_NODE_BUDGET) == picked
-    assert smallest_budget(lambda b: _extract(masks, 3, value, nodes, b)) == nodes + extraction_nodes
+    value, pick = max_coverage_masks(masks, 3)
+    assert pick() == picked
+    assert smallest_budget(lambda b: _extract(masks, 3, value, 0, b)) == extraction_nodes

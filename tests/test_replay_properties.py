@@ -10,6 +10,8 @@ from-scratch candidates and masks after every event.
 
 import tempfile
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -24,8 +26,8 @@ from stablecover.static_solver import (
     CandidateIndex,
     SolverBudgetError,
     SolverKind,
-    _best_value,
     _greedy_masks,
+    _search,
     candidate_disks,
     coverage_masks,
     solve,
@@ -170,9 +172,9 @@ def test_candidate_index_matches_scratch(events, m):
         _, masks = index.candidates()
         pts = sorted(index.points)
         scratch = coverage_masks(pts, candidate_disks(pts))
-        assert _best_value(masks, m, DEFAULT_NODE_BUDGET) == _best_value(
-            scratch, m, DEFAULT_NODE_BUDGET
-        )
+        union = reduce(or_, masks, 0).bit_count()
+        value, _, nodes = _search(masks, m, 0, union, 0, DEFAULT_NODE_BUDGET)
+        assert (value, nodes) == _search(scratch, m, 0, union, 0, DEFAULT_NODE_BUDGET)[::2]
         assert _greedy_masks(masks, m) == _greedy_masks(scratch, m)
     assert not index.points and index.candidates() == ([], [])
     # Emptied buckets go too, so the index does not grow with the cells a

@@ -313,7 +313,7 @@ def _generated(args: str) -> list[str]:
 # The cases the pinned-replay step checks under ``python -O``.
 CI_REPLAYS = (
     "sas-greedy-fallbacks", "sas-greedy-sparse", "sas-exact-sparse", "sas-greedy-m32",
-    "exact-hitting-m9", "greedy-hitting-m9", "greedy-hitting-m15",
+    "exact-maintainer-random", "exact-hitting-m9", "greedy-hitting-m9", "greedy-hitting-m15",
 )
 
 

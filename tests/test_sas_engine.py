@@ -534,11 +534,15 @@ def test_update_atomic_under_budget_error(step):
 
 @pytest.mark.parametrize("step", [update, update2])
 def test_update_atomic_when_extraction_exceeds_budget(step):
-    # One point: the value search takes 3 nodes, so the value is known, the
-    # ratio test fails (opt 1, alg 0) and reading the optimum's disks for the
-    # repair exceeds the budget in extraction.
-    state = EngineState(config=EngineConfig(m=1, epsilon=0.25, node_budget=3))
-    assert solve({Point(0.0, 0.0)}, 1, node_budget=3).value == 1
+    # One point, one mask: the value search spends a node at the root and one
+    # on taking the mask, whose union of 1 bit is the union of all masks, so
+    # it stops there.  With a budget of 2 the value is known, the ratio test
+    # fails (opt 1, alg 0) and reading the optimum's disks for the repair
+    # exceeds the budget in extraction, at its first index.
+    state = EngineState(config=EngineConfig(m=1, epsilon=0.25, node_budget=2))
+    assert solve({Point(0.0, 0.0)}, 1, node_budget=2).value == 1
+    with pytest.raises(SolverBudgetError):
+        solve({Point(0.0, 0.0)}, 1, node_budget=1)
     before = _snapshot(state)
     with pytest.raises(SolverBudgetError):
         step(state, "insert", Point(0.0, 0.0))
