@@ -204,9 +204,7 @@ class HittingCandidates(Sequence):
     def __len__(self) -> int:
         return len(self._keys)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [_point_of(key) for key in self._keys[i]]
+    def __getitem__(self, i: int) -> RationalPoint:
         return _point_of(self._keys[i])
 
     def __iter__(self):

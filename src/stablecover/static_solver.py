@@ -34,6 +34,16 @@ order with the same masks up to a relabelling of the bits, so the solve
 returns the same result.  The replay harness keeps calling the from-scratch
 path, which makes its re-solve an independent check on the index.
 
+The greedy oracle is lazy greedy (CELF) run as one merge,
+:func:`_greedy_masks`: a stream of the masks in :class:`RankedMasks` order,
+by coverage and then by candidate position, against a heap of the entries it
+has re-evaluated.  The from-scratch path sorts that order per call.  A
+:class:`CandidateIndex` keeps it instead: built on the first greedy solve and
+from then on moved entry by entry as events change masks, so a greedy solve
+over the index reads only the top of the order, never lists the candidates,
+and makes disks only for its picks.  An index that only the exact oracle
+reads never builds the order.
+
 Both paths find neighbours through the grid of 2x2 buckets in
 :mod:`stablecover.geometry`: the from-scratch table files the points in one
 per call, the index keeps one for its points and one for its centers.  The
@@ -53,7 +63,7 @@ import math
 from enum import Enum
 from functools import reduce
 from itertools import accumulate
-from operator import or_
+from operator import itemgetter, or_
 from typing import Callable, Collection, Iterable, Iterator, KeysView
 
 from .geometry import (
@@ -78,9 +88,10 @@ class SolverInvariantError(Exception):
 class Solution:
     """An oracle optimum: ``value`` now, ``disks`` and ``assignment`` on first read.
 
-    ``pick`` returns the chosen candidate indices; for the exact oracle it
-    runs the extraction phase, which may raise :class:`SolverBudgetError`.
-    ``disk_of`` gives a candidate's disk.  The disks are the picked
+    ``pick`` returns the chosen candidates' keys: their indices, or a greedy
+    solve's first sources over a :class:`CandidateIndex`; for the exact
+    oracle it runs the extraction phase, which may raise
+    :class:`SolverBudgetError`.  ``disk_of`` gives a key's disk.  The disks are the picked
     candidates padded to ``m`` with point-free disks; the assignment walks
     the points in sorted order.
     """
@@ -259,6 +270,22 @@ def _window_masks(grid: Grid, centers: Iterable[Point]) -> list[int]:
 Source = tuple
 
 
+class RankedMasks(list):
+    """Greedy's start order: one ``(-popcount, key, mask)`` entry per
+    candidate, ascending, so by coverage and then by ``key``.  The keys order
+    the candidates as their list positions do: indices on the from-scratch
+    path, first sources in a :class:`CandidateIndex`.  Equal masks may all
+    appear; the greedy takes the first and skips the rest."""
+
+
+def _ranked(masks: Iterable[int]) -> RankedMasks:
+    """The start order of a mask list, keyed by index: a stable sort on the
+    coverage alone keeps equal coverages in index order."""
+    ranked = RankedMasks((-mk.bit_count(), i, mk) for i, mk in enumerate(masks))
+    ranked.sort(key=itemgetter(0))
+    return ranked
+
+
 class CandidateIndex:
     """The candidate disks of a changing point set, kept up to date per point.
 
@@ -272,6 +299,14 @@ class CandidateIndex:
     a point's ``near`` window holds every center whose disk can cover it,
     and a center's mask is the ``covered_bits`` of its window, so the index
     and ``coverage_masks`` agree to the bit.
+
+    The greedy oracle reads :meth:`ranked`, the disks in
+    :class:`RankedMasks` order keyed by their smallest source, instead of
+    :meth:`candidates`.  That order is built on the first call and from then
+    on moved entry by entry whenever an event changes a disk's mask or
+    smallest source, so a greedy solve starts with no rebuild.  An index the
+    greedy never reads (the exact oracle's) never builds it and pays nothing
+    for it.
     """
 
     def __init__(self, points: Iterable[Point] = ()) -> None:
@@ -283,6 +318,7 @@ class CandidateIndex:
         self._sources: dict[UnitDisk, set[Source]] = {}
         self._center_of: dict[Source, UnitDisk] = {}
         self._order: list[Source] = []  # every live source, sorted
+        self._ranked: RankedMasks | None = None  # built by the first ranked()
         for p in points:
             self.add(p)
 
@@ -299,6 +335,16 @@ class CandidateIndex:
         disks = list(dict.fromkeys(map(self._center_of.__getitem__, self._order)))
         return disks, [self._mask[d] for d in disks]
 
+    def ranked(self) -> RankedMasks:
+        """The live disks' masks in greedy's start order, keyed by each
+        disk's smallest source (the disk is ``_center_of[key]``); the list
+        is the index's own, kept up to date by every later event."""
+        if self._ranked is None:
+            self._ranked = RankedMasks(sorted(
+                (-mk.bit_count(), min(self._sources[d]), mk) for d, mk in self._mask.items()
+            ))
+        return self._ranked
+
     def add(self, p: Point) -> None:
         if p in self._slot:
             raise ValueError(f"point {p} is already indexed")
@@ -306,6 +352,8 @@ class CandidateIndex:
         bit = 1 << slot
         for d in near(self._center_buckets, bucket(p)):
             if covers(d, p):
+                if self._ranked is not None:
+                    self._rerank(d, self._mask[d] | bit)
                 self._mask[d] |= bit
         self._slot[p] = slot
         grid_add(self._point_buckets, p, (p, bit))
@@ -319,12 +367,14 @@ class CandidateIndex:
         heapq.heappush(self._free, slot)
         bit = 1 << slot
         grid_remove(self._point_buckets, p, (p, bit))
-        for d in near(self._center_buckets, bucket(p)):
-            self._mask[d] &= ~bit
         self._drop_source((0, p))
         for key, _, _ in self._pairs_with(p):
             for k in (0, 1):
                 self._drop_source(key + (k,))
+        for d in near(self._center_buckets, bucket(p)):
+            if self._ranked is not None and self._mask[d] & bit:
+                self._rerank(d, self._mask[d] & ~bit)
+            self._mask[d] &= ~bit
 
     def _pairs_with(self, p: Point) -> Iterator[tuple[Source, Point, Point]]:
         """``((1, a, b), a, b)`` for each live ``q`` that ``candidate_disks``
@@ -341,9 +391,14 @@ class CandidateIndex:
         sources = self._sources.get(d)
         if sources is None:
             self._sources[d] = {key}
-            self._mask[d] = self._mask_of(d)
+            mask = self._mask[d] = self._mask_of(d)
             grid_add(self._center_buckets, center, d)
+            if self._ranked is not None:
+                self._rank(mask, key)
         else:
+            if self._ranked is not None and key < (first := min(sources)):
+                self._unrank(self._mask[d], first)
+                self._rank(self._mask[d], key)
             sources.add(key)
         self._center_of[key] = d
         bisect.insort(self._order, key)
@@ -353,9 +408,26 @@ class CandidateIndex:
         del self._order[bisect.bisect_left(self._order, key)]
         sources = self._sources[d]
         sources.remove(key)
+        if self._ranked is not None and (not sources or key < min(sources)):
+            self._unrank(self._mask[d], key)
+            if sources:
+                self._rank(self._mask[d], min(sources))
         if not sources:
             del self._sources[d], self._mask[d]
             grid_remove(self._center_buckets, d.center, d)
+
+    def _rerank(self, d: UnitDisk, mask: int) -> None:
+        """Move ``d``'s ranked entry from its current mask to ``mask``."""
+        first = min(self._sources[d])
+        self._unrank(self._mask[d], first)
+        self._rank(mask, first)
+
+    def _rank(self, mask: int, first: Source) -> None:
+        bisect.insort(self._ranked, (-mask.bit_count(), first, mask))
+
+    def _unrank(self, mask: int, first: Source) -> None:
+        ranked = self._ranked
+        del ranked[bisect.bisect_left(ranked, (-mask.bit_count(), first, mask))]
 
     def _mask_of(self, d: UnitDisk) -> int:
         """The slot mask of the live points ``coverage_masks`` would give ``d``."""
@@ -363,11 +435,11 @@ class CandidateIndex:
 
 
 def max_coverage_masks(
-    masks: list[int],
+    masks: list[int] | RankedMasks,
     m: int,
     kind: SolverKind = SolverKind.EXACT,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> tuple[int, Callable[[], list[int]]]:
+) -> tuple[int, Callable[[], list]]:
     """The best union of ``m`` masks under the given oracle: its size now, and
     ``pick()`` for the chosen indices (at most ``min(m, len(masks))``).
 
@@ -376,8 +448,9 @@ def max_coverage_masks(
     the full list (equal-coverage duplicates may appear in it), continuing the
     node count under the same ``node_budget``.  It takes each index in turn
     whose mask, with those taken, still leaves enough later masks to reach
-    the value (:func:`_extract`).  Greedy: both run here, and ``pick()``
-    gives the indices in pick order."""
+    the value (:func:`_extract`).  Greedy: both run here (:func:`_greedy_masks`),
+    and ``pick()`` gives the indices in pick order; the greedy also takes a
+    :class:`RankedMasks`, whose keys it then gives in place of indices."""
     if kind is SolverKind.EXACT:
         value = nodes = 0
         if m > 0 and masks:
@@ -496,30 +569,50 @@ def _extract(
     raise SolverInvariantError("extraction must succeed once the optimum value is known")
 
 
-def _greedy_masks(masks: list[int], m: int) -> tuple[int, list[int]]:
-    """Greedy max coverage: the union size and the chosen indices.
+def _greedy_masks(masks: list[int] | RankedMasks, m: int) -> tuple[int, list]:
+    """Greedy max coverage: the union size and the chosen keys, in pick order.
 
-    Each round takes the largest marginal gain, lowest index on ties, among
-    the first occurrences of distinct masks.  Lazy evaluation (CELF): the heap
-    holds gains from earlier rounds, which can only have fallen since, so a
-    popped entry whose gain is still current is the round's pick.
+    Each round takes the largest marginal gain, lowest key on ties, among the
+    first occurrences of distinct masks.  A list's keys are its indices, and
+    its :class:`RankedMasks` order is sorted here; a ``RankedMasks``, such as
+    :meth:`CandidateIndex.ranked`, is read as it is.  Lazy evaluation (CELF;
+    Minoux 1978, Leskovec et al. 2007) as a merge: the ranked stream holds
+    every mask at its full coverage, and a heap holds the entries re-evaluated
+    in earlier rounds at gains that can only have fallen since.  The smaller
+    head of the two is re-evaluated, and it is the round's pick when its gain
+    is still the one it was ranked by; a mask met again in the stream is
+    skipped.  Once fewer points are left than picks, the rounds take
+    zero-gain masks by key.
     """
-    first: dict[int, int] = {}
-    for i, mk in enumerate(masks):
-        first.setdefault(mk, i)
-    heap = [(-mk.bit_count(), i) for mk, i in first.items()]
-    heapq.heapify(heap)
-    chosen: list[int] = []
+    ranked = masks if isinstance(masks, RankedMasks) else _ranked(masks)
+    stream = iter(ranked)
+    head = next(stream, None)
+    seen: set[int] = set()
+    heap: list[tuple] = []  # re-evaluated (-gain, key, mask) entries
+    chosen: list = []
     covered = 0
-    while heap and len(chosen) < m:
-        neg_gain, i = heap[0]
-        gain = (masks[i] & ~covered).bit_count()
-        if gain == -neg_gain:
+    while len(chosen) < m:
+        if head is not None and (not heap or head < heap[0]):
+            neg_gain, key, mk = head
+            head = next(stream, None)
+            if mk in seen:
+                continue
+            seen.add(mk)
+            gain = (mk & ~covered).bit_count()
+            if gain != -neg_gain:
+                heapq.heappush(heap, (-gain, key, mk))
+                continue
+        elif heap:
+            neg_gain, key, mk = heap[0]
+            gain = (mk & ~covered).bit_count()
+            if gain != -neg_gain:
+                heapq.heapreplace(heap, (-gain, key, mk))
+                continue
             heapq.heappop(heap)
-            chosen.append(i)
-            covered |= masks[i]
         else:
-            heapq.heapreplace(heap, (-gain, i))
+            break
+        chosen.append(key)
+        covered |= mk
     return covered.bit_count(), chosen
 
 
@@ -532,14 +625,22 @@ def solve(
     """Best coverage of the points by ``m`` unit disks under the given oracle.
 
     The value is computed here; the disks and assignment when first read.
-    Given a :class:`CandidateIndex`, the solve reads its points, candidates
-    and masks from it; given points, it builds them from scratch.
+    Given a :class:`CandidateIndex`, the solve reads its points, and its
+    candidates and masks, or for the greedy oracle its ranked order, from
+    it; given points, it builds them from scratch.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     if isinstance(points_or_index, CandidateIndex):
-        pts = list(points_or_index.points)
-        cands, masks = points_or_index.candidates()
+        index = points_or_index
+        pts = list(index.points)
+        if kind is SolverKind.GREEDY:
+            value, pick = max_coverage_masks(index.ranked(), m, kind, node_budget)
+            # The picks are first sources; their disks are read now, while
+            # the index still holds them.
+            disks = {key: index._center_of[key] for key in pick()}
+            return Solution(value, pts, m, pick, disks.__getitem__)
+        cands, masks = index.candidates()
         disk_of = cands.__getitem__
     else:
         pts = sorted(set(points_or_index))

@@ -5,9 +5,11 @@ engine; every report row must meet that engine's guarantee, and
 ``stablecover verify`` must accept the report.  Under a small search budget,
 an update that runs out of budget must leave the engine state, candidate
 index included, as it was.  The candidate index must agree with the
-from-scratch candidates and masks after every event.
+from-scratch candidates and masks after every event, and its ranked order
+with a rebuild from its candidates.
 """
 
+import copy
 import tempfile
 from fractions import Fraction
 from functools import reduce
@@ -16,11 +18,14 @@ from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_oracle_reference import reference_greedy_masks
 
 from stablecover.baseline import update2
 from stablecover.geometry import Point
 from stablecover.harness_cli import POINT_ENGINES, format_point_event, main
-from stablecover.sas_engine import Branch, EngineConfig, EngineState, update, within_ratio
+from stablecover.sas_engine import (
+    Branch, EngineConfig, EngineState, point_event, update, within_ratio,
+)
 from stablecover.static_solver import (
     DEFAULT_NODE_BUDGET,
     CandidateIndex,
@@ -203,3 +208,70 @@ def test_solve_of_an_index_matches_solve_of_its_points(events, m, kind):
             assert by_index.value == by_points.value
             assert by_index.disks == by_points.disks
             assert by_index.assignment == by_points.assignment
+
+
+class RolledBack(Exception):
+    pass
+
+
+def apply_event(index, op, p):
+    if op == "insert":
+        index.add(p)
+    else:
+        index.remove(p)
+
+
+def assert_ranked_matches_rebuild(index, m):
+    """The kept ranked order is the candidates sorted by coverage, then by
+    position, and the greedy read from it is ``_greedy_masks`` over the
+    candidates, which is the eager reference greedy: the same value, the
+    same disks in pick order."""
+    disks, masks = index.candidates()
+    rebuild = sorted(range(len(disks)), key=lambda i: (-masks[i].bit_count(), i))
+    assert [(neg, index._center_of[key], mk) for neg, key, mk in index.ranked()] == [
+        (-masks[i].bit_count(), disks[i], masks[i]) for i in rebuild
+    ]
+    value, picks = _greedy_masks(masks, m)
+    assert (value, picks) == reference_greedy_masks(masks, m)
+    sol = solve(index, m, SolverKind.GREEDY)
+    assert sol.value == value
+    assert sol.disks[:len(picks)] == [disks[i] for i in picks]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(events=index_streams(), m=st.integers(1, 6), data=st.data())
+@example(events=SHARED_CENTER, m=2, data=None)
+def test_ranked_order_matches_a_rebuild_after_every_event(events, m, data):
+    """The order is built at a drawn event and kept from there; some events
+    are first rolled back by ``point_event``, and at some the index is
+    forked, after which the event goes to the fork and the original must
+    still match its own rebuild.  ``m`` up to 6 leaves more slots than live
+    points in many states, where the greedy takes zero-gain masks."""
+    def draw(strategy, default):
+        return default if data is None else data.draw(strategy)
+
+    index = CandidateIndex()
+    build_at = draw(st.integers(0, len(events)), 0)
+    for t, (op, p) in enumerate(events):
+        if t == build_at:
+            index.ranked()
+        if index._ranked is None:
+            apply_event(index, op, p)
+            continue
+        action = draw(st.sampled_from(["apply", "roll back", "fork"]), "apply")
+        if action == "roll back":
+            try:
+                with point_event(index, op, p):
+                    assert_ranked_matches_rebuild(index, m)
+                    raise RolledBack
+            except RolledBack:
+                pass
+            assert_ranked_matches_rebuild(index, m)
+        original = index
+        if action == "fork":
+            index = copy.deepcopy(index)
+        apply_event(index, op, p)
+        assert_ranked_matches_rebuild(index, m)
+        if original is not index:
+            assert_ranked_matches_rebuild(original, m)
+    assert index.ranked() == []

@@ -5,9 +5,9 @@ streams cover both SAS tolerances the tests use, the scaled pipeline up to
 ``GroupSwap`` and through all four scaled-mode fallbacks, a sparse 600-event
 stream at the benchmark's scaled constants through the greedy and the exact
 oracle, a repair-heavy 1200-event stream at m=32 on 8x8 shifted grids, the
-2-stable baseline,
-the exact maintainer (random, half-unit lattice and lower-bound streams) and
-the hitting maintainers on line streams (greedy at m 6, 9, 12 and 15, exact
+2-stable baseline, the exact maintainer (random, half-unit lattice and
+lower-bound streams), both of these through the greedy oracle at m=12 on a
+60-event stream, and the hitting maintainers on line streams (greedy at m 6, 9, 12 and 15, exact
 at m 6 and 9).  The generated line text at m 9, 12, 30, 60 and 120 has
 digests of its own, and so has the text of every recorded ``lines-greedy``
 benchmark chunk, whose report digests cannot see the line coefficients.
@@ -58,6 +58,7 @@ FALLBACKS = dict(SCALED, block_max=1, grid_shifts=4, grid_edge=8)
 WIDE_GRIDS = dict(SCALED, grid_shifts=8, grid_edge=16)
 
 RANDOM = gen_random(80, 8.0, seed=11, delete_prob=0.25)
+GREEDY_RANDOM = gen_random(60, 8.0, seed=7, delete_prob=0.3)
 
 
 def half_lattice(seed):
@@ -126,6 +127,17 @@ CASES = {
         RunConfig(engine="exact_maintainer", m=3),
         gen_random(40, 8.0, seed=5, delete_prob=0.2),
         "154693436816974010544eeff95626ccebf1d5c1754a6faf2e120c24885a74ef",
+    ),
+    # The greedy oracle over the other point engines' index, with more
+    # slots than live points: exact_maintainer reads the greedy disks at
+    # every step, two_stable at each of its swaps.
+    "exact-maintainer-greedy": (
+        RunConfig(engine="exact_maintainer", m=12, solver=SolverKind.GREEDY), GREEDY_RANDOM,
+        "e64d8e967f5d3a0c6b05f4aefafdc7bb9decd0ac7a69dd0799fd6b9f1d3f3f63",
+    ),
+    "two-stable-greedy": (
+        RunConfig(engine="two_stable", m=12, solver=SolverKind.GREEDY), GREEDY_RANDOM,
+        "68a04ef1e76eeb0c009a267d5885dc060b5224fd5ee1f9218ebb815c2ca8c694",
     ),
     # Masks hold every point ``covers`` accepts.  At t=8 the candidate
     # centered at (0.9999999999999999, 0.5000000000000001) covers all seven
@@ -239,6 +251,21 @@ def test_point_resolve_builds_one_table(name, monkeypatch):
     assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name", ["sas-eps-0.25", "exact-maintainer-random"])
+def test_exact_replay_never_ranks_its_index(name, monkeypatch):
+    """Only a greedy solve builds a candidate index's ranked order, so the
+    exact engines never pay for its upkeep: with ``ranked`` raising, the
+    dense-shaped exact replays keep their digests."""
+
+    def refused(self):
+        raise AssertionError("an exact solve ranks its index")
+
+    monkeypatch.setattr(static_solver.CandidateIndex, "ranked", refused)
+    config, rows, digest = CASES[name]
+    report = run(config, parse_stream("\n".join(rows) + "\n"))
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("m", sorted(GEN_LINES))
 def test_gen_lines_digest_unchanged(m):
     text = "\n".join(gen_lines(m, seed=1)) + "\n"
@@ -313,7 +340,8 @@ def _generated(args: str) -> list[str]:
 # The cases the pinned-replay step checks under ``python -O``.
 CI_REPLAYS = (
     "sas-greedy-fallbacks", "sas-greedy-sparse", "sas-exact-sparse", "sas-greedy-m32",
-    "exact-maintainer-random", "exact-hitting-m9", "greedy-hitting-m9", "greedy-hitting-m15",
+    "exact-maintainer-random", "exact-maintainer-greedy", "two-stable-greedy",
+    "exact-hitting-m9", "greedy-hitting-m9", "greedy-hitting-m15",
 )
 
 
