@@ -1,11 +1,13 @@
 """Stable approximation engine for dynamic max cover by unit disks.
 
-Per update the engine recomputes an oracle optimum; while the maintained
-solution stays within a ``1+epsilon`` factor nothing changes.  Otherwise it
-applies one bounded swap, constructed through a pipeline of shifted-grid
-selection, prefix-balanced cell ordering, block creation, a prefix-balanced
-block ordering, and a scan over a family of block partitions.  Every applied
-swap is re-verified by direct recount, never trusted from construction.
+Per update the engine recomputes an oracle optimum, unless the upper bound
+on the optimum that its candidate index carries already meets the ratio;
+while the maintained solution stays within a ``1+epsilon`` factor nothing
+changes.  Otherwise it applies one bounded swap, constructed through a
+pipeline of shifted-grid selection, prefix-balanced cell ordering, block
+creation, a prefix-balanced block ordering, and a scan over a family of
+block partitions.  Every applied swap is re-verified by direct recount,
+never trusted from construction.
 """
 
 from __future__ import annotations
@@ -209,12 +211,17 @@ class Swap:
 
 @dataclass
 class UpdateReport:
+    """One update's outcome.  ``opt_value`` is the oracle's value when
+    ``opt_solved``; on a step the index's ``opt_bound`` settled it is that
+    bound, at least the exact optimum, and no oracle ran."""
+
     t: int
     op: str
     alg_value: int
     opt_value: int
     churn: int
     branch: Branch
+    opt_solved: bool
 
 
 def prefix_balanced_order(items, bound: int):
@@ -583,18 +590,26 @@ def step(
     """The update body every engine shares, applied all or nothing.
 
     Applies the event (the point to the index through :func:`point_event`,
-    an inserted point assigned to the first disk covering it) and solves.
-    While ``opt <= (1+slack)*alg`` nothing changes; otherwise ``repair``
-    replaces the solution through :func:`replace_disks` and returns the churn
-    and the branch it took.  The result must hold m disks, meet the ratio and
-    stay within the branch's churn bound.  If anything raises, the index, ``t``,
-    the disks and the assignment are as they were before the call.
+    an inserted point assigned to the first disk covering it).  If the
+    index's ``opt_bound`` passes the ratio test ``bound <= (1+slack)*alg``,
+    so does the oracle value, which is at most the exact optimum and so at
+    most the bound: the step is ``NoChange``, reports the bound as
+    ``opt_value`` and runs no candidates, search or extraction, so it cannot
+    raise ``SolverBudgetError``.  Otherwise it solves, and an exact solve sets
+    the bound to the solved value.  While ``opt <= (1+slack)*alg`` nothing
+    changes; otherwise ``repair`` replaces the solution through
+    :func:`replace_disks` and returns the churn and the branch it took.  The
+    result must hold m disks, meet the ratio and stay within the branch's
+    churn bound.  If anything raises, the index's points, ``t``, the disks
+    and the assignment are as they were before the call; the index's bound
+    may differ, and is still certified.
     """
     cfg = state.config
+    index = state.index
     saved = (state.t, state.disks, dict(state.assignment))
     state.t += 1
     try:
-        with point_event(state.index, op, p):
+        with point_event(index, op, p):
             if op == "insert":
                 for i, d in enumerate(state.disks):
                     if covers(d, p):
@@ -602,20 +617,24 @@ def step(
                         break
             else:
                 state.assignment.pop(p, None)
-            opt_sol = solve(state.index, cfg.m, cfg.solver, cfg.node_budget)
-            if within_ratio(opt_sol.value, state.alg_value, slack):
-                churn, branch = 0, Branch.NO_CHANGE
-            else:
-                churn, branch = repair(state, opt_sol)
+            opt_value, solved = index.opt_bound, False
+            churn, branch = 0, Branch.NO_CHANGE
+            if not within_ratio(opt_value, state.alg_value, slack):
+                opt_sol = solve(index, cfg.m, cfg.solver, cfg.node_budget)
+                opt_value, solved = opt_sol.value, True
+                if cfg.solver is SolverKind.EXACT:
+                    index.opt_bound = opt_value
+                if not within_ratio(opt_value, state.alg_value, slack):
+                    churn, branch = repair(state, opt_sol)
 
             if len(state.disks) != cfg.m:
                 raise EngineInvariantError(
                     f"{len(state.disks)} disks after t={state.t}, not m={cfg.m}"
                 )
-            if not within_ratio(opt_sol.value, state.alg_value, slack):
+            if not within_ratio(opt_value, state.alg_value, slack):
                 raise EngineInvariantError(
                     f"ratio 1+{slack} violated at t={state.t}: "
-                    f"opt={opt_sol.value} alg={state.alg_value}"
+                    f"opt={opt_value} alg={state.alg_value}"
                 )
             if churn > cfg.churn_bound(branch):
                 raise EngineInvariantError(
@@ -628,9 +647,10 @@ def step(
         t=state.t,
         op=op,
         alg_value=state.alg_value,
-        opt_value=opt_sol.value,
+        opt_value=opt_value,
         churn=churn,
         branch=branch,
+        opt_solved=solved,
     )
 
 

@@ -307,6 +307,15 @@ class CandidateIndex:
     smallest source, so a greedy solve starts with no rebuild.  An index the
     greedy never reads (the exact oracle's) never builds it and pays nothing
     for it.
+
+    ``opt_bound`` is a certified upper bound on the exact optimum of the
+    live points, for the ``m`` its owner solves at.  A new index starts at
+    its point count, :meth:`add` raises the bound by 1 and :meth:`remove`
+    caps it at the new point count; only the owner's exact solve may set it
+    lower, to the solved value.  An insert raises the optimum by at most 1
+    and a delete never raises it, so the bound stays certified through an
+    undone event (an undone insert is a ``remove``, an undone delete an
+    ``add``) and in a ``copy.deepcopy`` fork.
     """
 
     def __init__(self, points: Iterable[Point] = ()) -> None:
@@ -319,6 +328,7 @@ class CandidateIndex:
         self._center_of: dict[Source, UnitDisk] = {}
         self._order: list[Source] = []  # every live source, sorted
         self._ranked: RankedMasks | None = None  # built by the first ranked()
+        self.opt_bound = 0
         for p in points:
             self.add(p)
 
@@ -361,9 +371,11 @@ class CandidateIndex:
         for key, a, b in self._pairs_with(p):
             for k, center in enumerate(_circles_through(a, b)):
                 self._add_source(key + (k,), center)
+        self.opt_bound += 1
 
     def remove(self, p: Point) -> None:
         slot = self._slot.pop(p)
+        self.opt_bound = min(self.opt_bound, len(self._slot))
         heapq.heappush(self._free, slot)
         bit = 1 << slot
         grid_remove(self._point_buckets, p, (p, bit))

@@ -1,5 +1,9 @@
 import copy
+import functools
+import itertools
+import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -125,6 +129,67 @@ def test_exact_maintainer_churn_at_trigger():
         trig = stream.choose_trigger(before)
         mt.apply("insert", trig)
         assert disk_churn(before, mt.solution()) >= m
+
+
+def optimal_covered_sets(points, m, common):
+    """Every optimal covered-set family of ``m`` disks over ``points``: each
+    ``m``-subset of the distinct candidate masks whose union is the optimum,
+    as the sorted masks of its sets within ``common``, one bit per point of
+    ``sorted(common)``.  A disk held across an event covers the same points
+    of ``common`` on both sides."""
+    pts = sorted(points)
+    bit = {p: 1 << i for i, p in enumerate(sorted(common))}
+    within = {
+        mk: sum(bit.get(p, 0) for i, p in enumerate(pts) if mk >> i & 1)
+        for mk in static_solver.coverage_masks(pts, static_solver.candidate_disks(pts))
+    }
+    best = static_solver.solve(pts, m).value
+    return {
+        tuple(sorted(within[mk] for mk in family))
+        for family in itertools.combinations(sorted(within), m)
+        if functools.reduce(operator.or_, family).bit_count() == best
+    }
+
+
+def forced_churn(before, after, m):
+    """The least covered-set churn from an optimal family of ``m`` disks
+    over ``before`` to one over ``after``: a lower bound on the disk churn of
+    every exact maintainer across the change.  0 is no forced churn."""
+    common = set(before) & set(after)
+    old, new = optimal_covered_sets(before, m, common), optimal_covered_sets(after, m, common)
+    if old & new:
+        return 0
+    return min(
+        sum(((Counter(f) - Counter(g)) + (Counter(g) - Counter(f))).values())
+        for f in old for g in new
+    )
+
+
+def shift_pair(gap, m):
+    """2m points ``gap`` apart on the x-axis, and the same after deleting
+    the left end and inserting x = gap * 2m."""
+    before = [Point(gap * i, 0.0) for i in range(2 * m)]
+    return before, before[1:] + [Point(gap * 2 * m, 0.0)]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_shift_chain_forces_every_exact_maintainer_to_replace_all_sets(m):
+    """At gap 1.5 no disk holds three points, so each side has one optimal
+    family, the consecutive pairs, and the shift shares none of them."""
+    before, after = shift_pair(1.5, m)
+    common = set(before) & set(after)
+    assert len(optimal_covered_sets(before, m, common)) == 1
+    assert len(optimal_covered_sets(after, m, common)) == 1
+    assert forced_churn(before, after, m) == 2 * m
+
+
+def test_no_forced_churn_where_a_disk_holds_three_points():
+    """The quarter-gap chain's trigger, at either end, and a gap-1.0 shift
+    force nothing: some optimal family before and after agree."""
+    prefix = chain_points(6)
+    for trigger in trigger_options(6):
+        assert forced_churn(prefix, prefix + [trigger], 6) == 0
+    assert forced_churn(*shift_pair(1.0, 4), 4) == 0
 
 
 @pytest.mark.parametrize("op", ["insert", "delete"])

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
+from stablecover import sas_engine
 from stablecover.adversary.streams import GreedyHittingMaintainer
 from stablecover.geometry import MAX_COORDINATE
 from stablecover.harness_cli import (
@@ -160,6 +162,28 @@ def test_greedy_hitting_held_to_the_greedy_bound(monkeypatch):
     assert run(config, stream)
     monkeypatch.setattr(GreedyHittingMaintainer, "apply_triple", lambda self, triple: None)
     with pytest.raises(HarnessError, match="greedy bound failed at t=1$"):
+        run(config, stream)
+
+
+@pytest.mark.parametrize("solved, shift, message", [
+    (True, 1, "opt recount mismatch at t=1$"),
+    (False, -1, "opt bound below the recount at t=1$"),
+])
+def test_run_checks_the_engines_opt_value(monkeypatch, solved, shift, message):
+    """A solved ``opt_value`` must equal the re-solved optimum, even one
+    above it that would pass as a bound; an unsolved bound must not fall
+    below it."""
+    stream = parse_stream("insert 1.0 1.0\n")
+    config = RunConfig(engine="sas", m=2)
+    assert run(config, stream)
+    honest = sas_engine.update
+
+    def skewed(state, op, p):
+        report = honest(state, op, p)
+        return dataclasses.replace(report, opt_value=report.opt_value + shift, opt_solved=solved)
+
+    monkeypatch.setattr(sas_engine, "update", skewed)
+    with pytest.raises(HarnessError, match=message):
         run(config, stream)
 
 

@@ -5,8 +5,9 @@ engine; every report row must meet that engine's guarantee, and
 ``stablecover verify`` must accept the report.  Under a small search budget,
 an update that runs out of budget must leave the engine state, candidate
 index included, as it was.  The candidate index must agree with the
-from-scratch candidates and masks after every event, and its ranked order
-with a rebuild from its candidates.
+from-scratch candidates and masks after every event, its ranked order with
+a rebuild from its candidates, and its bound on the optimum must stay at or
+above the from-scratch optimum.
 """
 
 import copy
@@ -275,3 +276,51 @@ def test_ranked_order_matches_a_rebuild_after_every_event(events, m, data):
         if original is not index:
             assert_ranked_matches_rebuild(original, m)
     assert index.ranked() == []
+
+
+# At m=2 the greedy covers 3 of these 4 points, and two disks cover all 4:
+# the engine's greedy solve at the last insert must not lower the bound to 3.
+GREEDY_SHORT = [
+    ("insert", p) for p in (Point(3.0, 1.5), Point(3.0, 0.5), Point(3.0, 3.0), Point(1.0, 0.5))
+]
+
+
+def assert_bound_certified(index, m):
+    assert index.opt_bound >= solve(set(index.points), m).value
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    events=index_streams(),
+    m=st.integers(1, 4),
+    kind=st.sampled_from(list(SolverKind)),
+    step=st.sampled_from([update, update2]),
+    data=st.data(),
+)
+@example(events=GREEDY_SHORT, m=2, kind=SolverKind.GREEDY, step=update, data=None)
+def test_opt_bound_stays_above_the_optimum(events, m, kind, step, data):
+    """After every event the index's bound is at least the exact optimum of
+    its points.  An event goes through the engine, whose oracle may skip or
+    set the bound; some are first rolled back by ``point_event`` after an
+    exact solve set the bound inside it, and at some the engine is forked,
+    after which the event goes to the fork and the original is checked
+    too."""
+    actions = st.sampled_from(["apply", "roll back", "fork"])
+    state = EngineState(config=EngineConfig(m=m, epsilon=0.25, solver=kind))
+    for op, p in events:
+        action = "apply" if data is None else data.draw(actions)
+        if action == "roll back":
+            try:
+                with point_event(state.index, op, p):
+                    state.index.opt_bound = solve(state.index, m).value
+                    raise RolledBack
+            except RolledBack:
+                pass
+            assert_bound_certified(state.index, m)
+        original = state
+        if action == "fork":
+            state = copy.deepcopy(state)
+        step(state, op, p)
+        assert_bound_certified(state.index, m)
+        if original is not state:
+            assert_bound_certified(original.index, m)

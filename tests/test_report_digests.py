@@ -339,6 +339,7 @@ def _generated(args: str) -> list[str]:
 
 # The cases the pinned-replay step checks under ``python -O``.
 CI_REPLAYS = (
+    "sas-eps-0.25", "two-stable",
     "sas-greedy-fallbacks", "sas-greedy-sparse", "sas-exact-sparse", "sas-greedy-m32",
     "exact-maintainer-random", "exact-maintainer-greedy", "two-stable-greedy",
     "exact-hitting-m9", "greedy-hitting-m9", "greedy-hitting-m15",

@@ -516,20 +516,29 @@ def _snapshot(state):
 
 
 @pytest.mark.parametrize("step", [update, update2])
-def test_update_atomic_under_budget_error(step):
-    rng = random.Random(3)
-    state = EngineState(config=EngineConfig(m=2, epsilon=0.25))
-    live = []
-    for _ in range(6):
-        live.append(Point(rng.uniform(0, 3), rng.uniform(0, 3)))
-        step(state, "insert", live[-1])
-    # Budget 1 fails in the value search, on an insert and on a delete.
-    state.config.node_budget = 1
-    for op, p in (("insert", Point(1.0, 1.0)), ("delete", live[2])):
+def test_update_atomic_under_budget_error(step, monkeypatch):
+    # One disk covers (0, 0); (9, 0) is left uncovered, so alg 1 against a
+    # bound of 2.  Inserting (5, 0) makes the bound 3 against alg 1, and
+    # deleting (0, 0) makes it 1 against alg 0: the bound fails both ratios,
+    # and budget 1 fails in the value search, on the insert and on the delete.
+    covered, uncovered = Point(0.0, 0.0), Point(9.0, 0.0)
+    cfg = EngineConfig(m=2, epsilon=0.25, node_budget=1)
+    state = state_with(cfg, {covered, uncovered}, [UnitDisk(covered), UnitDisk(Point(0.0, -990.0))])
+    for op, p in (("insert", Point(5.0, 0.0)), ("delete", covered)):
         before = _snapshot(state)
-        with pytest.raises(SolverBudgetError):
+        with pytest.raises(SolverBudgetError, match="exceeded 1 search nodes"):
             step(state, op, p)
         assert _snapshot(state) == before
+        assert state.index.opt_bound == 2
+    # Deleting (9, 0) caps the bound at 1, against alg 1: the bound settles
+    # the step, which never calls the oracle.
+    def no_solve(*args):
+        raise AssertionError("a step the bound settles must not solve")
+
+    monkeypatch.setattr(sas_engine, "solve", no_solve)
+    rep = step(state, "delete", uncovered)
+    assert (rep.branch, rep.churn, rep.opt_value, rep.opt_solved) == (Branch.NO_CHANGE, 0, 1, False)
+    assert _snapshot(state)[1:] == ({covered}, before[2], {covered: 0})
 
 
 @pytest.mark.parametrize("step", [update, update2])
