@@ -1,12 +1,15 @@
-"""Adversarial point stream forcing large churn on exact maintainers.
+"""The alternating-gap chain: an adversarial trigger for the canonical exact maintainer.
 
 2m points arrive on the x-axis in alternating quarter/long gaps, then one
 trigger point extends the chain at whichever end is worse for the algorithm.
+Against :class:`~stablecover.adversary.streams.ExactMaintainer`, which holds
+the canonical optimum, the trigger forces a churn of at least ``m`` at
+m = 1-4.  It does not bind every exact maintainer: a quarter gap lets one
+disk hold three chain points, and at m = 6 the least churn the trigger forces
+on an exact maintainer, counted in covered point sets, is 0 at either end.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ..geometry import Point, UnitDisk, disk_churn
 from ..static_solver import solve
@@ -14,6 +17,8 @@ from ..static_solver import solve
 
 def chain_points(m: int) -> list[Point]:
     """p_1..p_2m with p_{2j-1} = (2j-2) + 1/4 and p_{2j} = 2j, all at y=0."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
     pts = []
     for j in range(1, m + 1):
         pts.append(Point((2 * j - 2) + 0.25, 0.0))
@@ -26,36 +31,14 @@ def trigger_options(m: int) -> tuple[Point, Point]:
     return Point(0.0, 0.0), Point(2.0 * m + 0.25, 0.0)
 
 
-@dataclass
-class LowerBoundStream:
-    m: int
+def choose_trigger(m: int, current_disks: list[UnitDisk]) -> Point:
+    """The trigger whose forced optimum is farthest from ``current_disks``.
 
-    @property
-    def prefix(self) -> list[Point]:
-        return chain_points(self.m)
-
-    def choose_trigger(self, current_disks: list[UnitDisk]) -> Point:
-        """Pick the trigger whose forced optimum is farthest from the state.
-
-        Evaluated against the canonical optimum after each candidate trigger;
-        ties go to the left end.
-        """
-        base = set(self.prefix)
-        best = None
-        best_churn = -1
-        for trig in trigger_options(self.m):
-            sol = solve(base | {trig}, self.m)
-            churn = disk_churn(current_disks, sol.disks)
-            if churn > best_churn:
-                best_churn = churn
-                best = trig
-        return best
-
-    def events(self, trigger: Point) -> list[tuple[str, Point]]:
-        return [("insert", p) for p in self.prefix] + [("insert", trigger)]
-
-
-def lower_bound_stream(m: int) -> LowerBoundStream:
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    return LowerBoundStream(m)
+    Evaluated against the canonical optimum after each candidate trigger;
+    ties go to the left end.
+    """
+    base = set(chain_points(m))
+    return max(
+        trigger_options(m),
+        key=lambda trigger: disk_churn(current_disks, solve(base | {trigger}, m).disks),
+    )

@@ -21,7 +21,7 @@ from typing import Iterable
 from . import baseline, sas_engine
 from .adversary.expander import SeedExhaustionError
 from .adversary.lines import RationalLine, SparseLineRepError, evaluate_hitting
-from .adversary.lower_bound import lower_bound_stream
+from .adversary.lower_bound import chain_points, choose_trigger
 from .adversary.streams import (
     ExactHittingMaintainer,
     ExactMaintainer,
@@ -105,10 +105,6 @@ def parse_stream(text: str) -> UpdateStream:
     return UpdateStream(kind="points", point_events=point_events)
 
 
-def load_stream(path: str | Path) -> UpdateStream:
-    return parse_stream(Path(path).read_text())
-
-
 def format_point_event(op: str, p: Point) -> str:
     return f"{op} {p.x!r} {p.y!r}"
 
@@ -145,9 +141,9 @@ def gen_random(n: int, bbox: float, seed: int, delete_prob: float = 0.0) -> list
 def gen_lower_bound(m: int) -> list[str]:
     """2m chain inserts plus the trigger that is adversarial for a canonical
     exact maintainer, which holds the prefix's canonical optimum by then."""
-    stream = lower_bound_stream(m)
-    trigger = stream.choose_trigger(solve(stream.prefix, m).disks)
-    return [format_point_event(op, p) for op, p in stream.events(trigger)]
+    prefix = chain_points(m)
+    trigger = choose_trigger(m, solve(prefix, m).disks)
+    return [format_point_event("insert", p) for p in prefix + [trigger]]
 
 
 def gen_lines(m: int, seed: int) -> list[str]:
@@ -421,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
                 rows = gen_lines(args.m, args.seed)
             _write("\n".join(rows) + "\n", args.out)
             return 0
-        stream = load_stream(args.stream)
+        stream = parse_stream(Path(args.stream).read_text())
         config = _config_from_args(args)
         report = run(config, stream)
         if args.command == "run":

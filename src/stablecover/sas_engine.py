@@ -97,24 +97,32 @@ class EngineConfig:
             raise ValueError("epsilon must lie in (0, 1/2)")
         eps = self.epsilon
         self.epsilon_exact = Fraction(str(eps))
-        if self.trivial_threshold is None:
-            self.trivial_threshold = math.ceil(1.0 / eps**3)
         if self.extend is None:
             self.extend = 6 * self.c_star + 4
-        if self.kappa is None:
-            self.kappa = math.ceil(8.0 * (6 * self.c_star + 4) / eps) + 1
-        if self.block_min is None:
-            self.block_min = math.ceil(1.0 / eps**2)
-        if self.block_max is None:
-            self.block_max = math.ceil((self.c_star + 2) / eps**2)
-        if self.balance_cells is None:
-            self.balance_cells = math.ceil(self.c_star / eps**2)
-        if self.balance_blocks is None:
-            self.balance_blocks = math.ceil((3 * self.c_star + 2) / eps**2)
-        if self.grid_shifts is None:
-            self.grid_shifts = grid_shift_count(eps)
-        if self.grid_edge is None:
-            self.grid_edge = 2.0 * self.grid_shifts
+        # The formulas run in floats; an input that takes one out of float
+        # range is named in a ValueError.
+        culprit = "epsilon is too small"
+        try:
+            if self.trivial_threshold is None:
+                self.trivial_threshold = math.ceil(1.0 / eps**3)
+            if self.block_min is None:
+                self.block_min = math.ceil(1.0 / eps**2)
+            if self.grid_shifts is None:
+                self.grid_shifts = grid_shift_count(eps)
+            culprit = "c_star is too large or epsilon too small"
+            if self.kappa is None:
+                self.kappa = math.ceil(8.0 * (6 * self.c_star + 4) / eps) + 1
+            if self.block_max is None:
+                self.block_max = math.ceil((self.c_star + 2) / eps**2)
+            if self.balance_cells is None:
+                self.balance_cells = math.ceil(self.c_star / eps**2)
+            if self.balance_blocks is None:
+                self.balance_blocks = math.ceil((3 * self.c_star + 2) / eps**2)
+            culprit = "grid_shifts is too large"
+            if self.grid_edge is None:
+                self.grid_edge = 2.0 * self.grid_shifts
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError(f"{culprit}: a derived constant leaves the float range") from None
         if self.kappa <= self.extend:
             raise ValueError("kappa must exceed the group extension length")
         if self.block_max < self.block_min:

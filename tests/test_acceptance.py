@@ -12,16 +12,10 @@ import time
 import pytest
 from test_adversary import concurrency_census, is_bipartite_lr, line_list, side_rep
 
-from stablecover.adversary import (
-    ExactMaintainer,
-    build_line_instance,
-    double_cover,
-    evaluate_hitting,
-    lower_bound_stream,
-    random_expander,
-    sampled_expansion_check,
-)
-from stablecover.adversary.streams import disk_churn
+from stablecover.adversary.expander import double_cover, random_expander, sampled_expansion_check
+from stablecover.adversary.lines import evaluate_hitting
+from stablecover.adversary.lower_bound import chain_points, choose_trigger
+from stablecover.adversary.streams import ExactMaintainer, build_line_instance, disk_churn
 from stablecover.geometry import (
     GridSpec,
     Point,
@@ -103,12 +97,11 @@ def test_criterion_3_two_stable(random_runs):
 def test_criterion_4_exact_maintenance_lower_bound():
     churns = {}
     for m in (2, 3, 4):
-        stream = lower_bound_stream(m)
         maintainer = ExactMaintainer(m)
-        for p in stream.prefix:
+        for p in chain_points(m):
             maintainer.apply("insert", p)
         before = maintainer.solution()
-        trigger = stream.choose_trigger(before)
+        trigger = choose_trigger(m, before)
         maintainer.apply("insert", trigger)
         churn = disk_churn(before, maintainer.solution())
         assert churn >= m

@@ -9,24 +9,12 @@ from fractions import Fraction
 import pytest
 
 from stablecover import static_solver
-from stablecover.adversary import (
-    ExactHittingMaintainer,
-    ExactMaintainer,
-    GreedyHittingMaintainer,
-    ProbeError,
-    adaptive_line_stream,
+from stablecover.adversary import streams
+from stablecover.adversary.expander import (
     build_GmL,
-    build_line_instance,
-    chain_points,
     double_cover,
-    evaluate_hitting,
-    lower_bound_stream,
     random_expander,
     sampled_expansion_check,
-    solve_hitting,
-    sparse_line_rep,
-    streams,
-    trigger_options,
 )
 from stablecover.adversary.lines import (
     RationalLine,
@@ -35,9 +23,21 @@ from stablecover.adversary.lines import (
     _indices,
     _meets,
     _point_of,
+    evaluate_hitting,
+    sparse_line_rep,
     verify_sparse,
 )
-from stablecover.adversary.streams import disk_churn
+from stablecover.adversary.lower_bound import chain_points, choose_trigger, trigger_options
+from stablecover.adversary.streams import (
+    ExactHittingMaintainer,
+    ExactMaintainer,
+    GreedyHittingMaintainer,
+    ProbeError,
+    adaptive_line_stream,
+    build_line_instance,
+    disk_churn,
+    solve_hitting,
+)
 from stablecover.geometry import Point
 from stablecover.harness_cli import (
     EngineMaintainer, RunConfig, gen_lines, gen_random, parse_stream, run_lines, run_points,
@@ -114,19 +114,17 @@ def test_chain_point_formulas():
 
 
 def test_smallest_stream():
-    s = lower_bound_stream(1)
-    assert len(s.prefix) == 2
+    assert len(chain_points(1)) == 2
     assert trigger_options(1) == (Point(0.0, 0.0), Point(2.25, 0.0))
 
 
 def test_exact_maintainer_churn_at_trigger():
     for m in (1, 2, 3):
-        stream = lower_bound_stream(m)
         mt = ExactMaintainer(m)
-        for p in stream.prefix:
+        for p in chain_points(m):
             mt.apply("insert", p)
         before = mt.solution()
-        trig = stream.choose_trigger(before)
+        trig = choose_trigger(m, before)
         mt.apply("insert", trig)
         assert disk_churn(before, mt.solution()) >= m
 
@@ -566,7 +564,7 @@ def test_edge_list_export_format():
 
 
 def test_no_sas_check_reports_threshold():
-    from stablecover.adversary import no_sas_check
+    from stablecover.adversary.streams import no_sas_check
 
     rows = ["1,lines,9,10,0.900000,3,Hitting"]
     out = no_sas_check(rows, eps_star=0.2, alpha=0.3, m=60)

@@ -247,6 +247,15 @@ OVERFLOWING_PAIR = "insert {sign}8.98846567431158e+307 0\ninsert {sign}8.9884656
             for text in ("=3", "kappa", "trivial_threshold=9,trivial_threshold=8", "kappa=",
                          "trivial_threshold=9,")
         ),
+        (["gen", "lower_bound", "--m", "0"], None),
+        *(
+            (["run", "--stream", "STREAM", *options], "insert 1.0 1.0\n")
+            for options in (["--epsilon", "1e-120"], ["--epsilon", "5e-324"],
+                             ["--scaled", f"c_star={10**400}"],
+                             ["--scaled", f"grid_shifts={10**400}"])
+        ),
+        (["run", "--stream", "STREAM", "--engine", "greedy_hitting", "--epsilon", "1e-120"],
+         LINE_TRIPLE),
     ],
     ids=["nan", "inf",
          *(f"above-bound-{engine}{sign}" for engine in POINT_ENGINES for sign in ("", "-neg")),
@@ -259,7 +268,9 @@ OVERFLOWING_PAIR = "insert {sign}8.98846567431158e+307 0\ninsert {sign}8.9884656
          "grid-edge-zero", "grid-edge-inf", "grid-edge-nan", "grid-shifts-zero",
          "block-min-negative", "extend-negative",
          "scaled-empty-key", "scaled-no-value", "scaled-repeated-key", "scaled-empty-value",
-         "scaled-empty-item"],
+         "scaled-empty-item", "lower-bound-m-zero",
+         "epsilon-cubed-underflows", "epsilon-least-subnormal", "c-star-401-digits",
+         "grid-shifts-401-digits", "greedy-hitting-epsilon-cubed-underflows"],
 )
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, stream_text):
     stream_path = tmp_path / "s.txt"
@@ -289,6 +300,16 @@ def test_points_at_the_coordinate_bound_replay(tmp_path, engine):
         report = tmp_path / f"{stream.stem}.csv"
         assert main(["run", *replay, "--out", str(report)]) == 0
         assert main(["verify", *replay, "--report", str(report)]) == 0
+
+
+def test_epsilon_1e_100_replays(tmp_path):
+    """The derived constants at epsilon 1e-100 are still finite floats."""
+    stream = tmp_path / "s.txt"
+    stream.write_text("\n".join(gen_random(20, 4.0, seed=3, delete_prob=0.3)) + "\n")
+    replay = ["--stream", str(stream), "--m", "2", "--epsilon", "1e-100"]
+    report = tmp_path / "r.csv"
+    assert main(["run", *replay, "--out", str(report)]) == 0
+    assert main(["verify", *replay, "--report", str(report)]) == 0
 
 
 @pytest.mark.parametrize("text, named", [

@@ -332,6 +332,9 @@ def _generated(args: str) -> list[str]:
     if kind == "lines":
         assert opts.keys() == {"--m", "--seed"}
         return gen_lines(int(opts["--m"]), int(opts["--seed"]))
+    if kind == "lower_bound":
+        assert opts.keys() == {"--m"}
+        return gen_lower_bound(int(opts["--m"]))
     assert kind == "random" and opts.keys() == {"--n", "--bbox", "--seed", "--delete-prob"}
     return gen_random(int(opts["--n"]), float(opts["--bbox"]), int(opts["--seed"]),
                       float(opts["--delete-prob"]))
@@ -341,7 +344,8 @@ def _generated(args: str) -> list[str]:
 CI_REPLAYS = (
     "sas-eps-0.25", "two-stable",
     "sas-greedy-fallbacks", "sas-greedy-sparse", "sas-exact-sparse", "sas-greedy-m32",
-    "exact-maintainer-random", "exact-maintainer-greedy", "two-stable-greedy",
+    "exact-maintainer-random", "exact-maintainer-greedy", "exact-maintainer-lower-bound",
+    "two-stable-greedy",
     "exact-hitting-m9", "greedy-hitting-m9", "greedy-hitting-m15",
 )
 

@@ -49,6 +49,14 @@ def test_config_validation():
         EngineConfig(m=2, epsilon=0.75)
     with pytest.raises(ValueError):
         EngineConfig(m=2, epsilon=0.25, kappa=3, extend=5)
+    # Inputs that take a derived constant out of float range are named.
+    for eps in (1e-120, 5e-324):
+        with pytest.raises(ValueError, match="epsilon"):
+            EngineConfig(m=2, epsilon=eps)
+    with pytest.raises(ValueError, match="c_star"):
+        EngineConfig(m=2, epsilon=0.25, c_star=10**400)
+    with pytest.raises(ValueError, match="grid_shifts"):
+        EngineConfig(m=2, epsilon=0.25, grid_shifts=10**400)
 
 
 # ---------------------------------------------------------------------------

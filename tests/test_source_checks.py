@@ -24,3 +24,13 @@ def test_no_float_in_lines_module():
         if isinstance(node, ast.Name) and node.id == "float":
             found.append(f"{node.lineno}: name float")
     assert not found, f"floating point in adversary/lines.py: {found}"
+
+
+def test_packages_hold_only_their_docstring():
+    # No re-export facade: callers import from the module that defines a name.
+    found = []
+    for path in sorted(SRC.rglob("__init__.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if len(tree.body) != 1 or ast.get_docstring(tree) is None:
+            found.append(str(path.relative_to(SRC)))
+    assert not found, f"__init__.py beyond a docstring: {found}"

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from stablecover.adversary import ExactMaintainer
+from stablecover.adversary.streams import ExactMaintainer
 from stablecover.geometry import Point, UnitDisk, covers
 from stablecover.static_solver import (
     SolverBudgetError,
