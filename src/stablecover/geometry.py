@@ -268,7 +268,8 @@ def select_grid(
     :func:`is_boundary`), over both solutions.  The points are counted per
     disk center once, and each center's x and y boundary flags once per axis
     shift, since a grid's x lines depend only on ``shift_i`` and its y lines
-    only on ``shift_j``; the scan then only sums.
+    only on ``shift_j``; the scan then only sums.  A shift's flags are built
+    when the scan first reaches it, so a scan that stops early builds few.
     """
     budget = Fraction(str(epsilon)) * len(opt_assignment) / 2
     held: Counter[Point] = Counter()
@@ -276,13 +277,14 @@ def select_grid(
         for idx, count in Counter(assignment.values()).items():
             held[disks[idx].center] += count
     counts = list(held.values())
-    # Offsets as ``GridSpec.offset_x``/``offset_y`` compute them.
-    x_flags = [[_near_line(c.x, 2.0 * s, edge) for c in held] for s in range(shifts)]
-    y_flags = [[_near_line(c.y, 2.0 * s, edge) for c in held] for s in range(shifts)]
+    y_flags: list[list[bool]] = []
     limit = math.floor(budget)  # counts are integers
     for i in range(shifts):
-        x_i = x_flags[i]
+        # Offsets as ``GridSpec.offset_x``/``offset_y`` compute them.
+        x_i = [_near_line(c.x, 2.0 * i, edge) for c in held]
         for j in range(shifts):
+            if j == len(y_flags):
+                y_flags.append([_near_line(c.y, 2.0 * j, edge) for c in held])
             total = sum(n for n, fx, fy in zip(counts, x_i, y_flags[j]) if fx or fy)
             if total <= limit:
                 return GridSpec(edge, i, j)

@@ -70,6 +70,8 @@ class EngineConfig:
     group search, a replacement larger than the removal set, a group swap over
     its churn bound) makes the planner return a swap-all with the failure as
     its ``reason``; ``scaled_mode`` lets the repair install that plan.
+    ``balance_blocks`` is accepted and read by nothing: each prefix-balanced
+    order is checked against its own items' largest count.
     """
 
     m: int
@@ -116,8 +118,6 @@ class EngineConfig:
                 self.block_max = math.ceil((self.c_star + 2) / eps**2)
             if self.balance_cells is None:
                 self.balance_cells = math.ceil(self.c_star / eps**2)
-            if self.balance_blocks is None:
-                self.balance_blocks = math.ceil((3 * self.c_star + 2) / eps**2)
             culprit = "grid_shifts is too large"
             if self.grid_edge is None:
                 self.grid_edge = 2.0 * self.grid_shifts
@@ -135,6 +135,8 @@ class EngineConfig:
             raise ValueError("grid_shifts must be at least 1")
         if not 0.0 < self.grid_edge < math.inf:
             raise ValueError("grid_edge must be finite and above 0")
+        if 2 * (self.grid_shifts - 1) >= self.grid_edge:
+            raise ValueError("grid_shifts must satisfy 2 * (grid_shifts - 1) < grid_edge")
         if self.node_budget < 1:
             raise ValueError("node_budget must be at least 1")
 
@@ -232,22 +234,21 @@ class UpdateReport:
     opt_solved: bool
 
 
-def prefix_balanced_order(items, bound: int):
+def prefix_balanced_order(items):
     """Order ``(id, alg_count, opt_count)`` items so every prefix is balanced.
 
-    Requires equal totals and per-item counts at most ``bound``; then every
-    prefix satisfies ``|sum(alg) - sum(opt)| <= bound``.  The first item is the
-    lowest id, after which the lowest eligible id is taken each round.
+    Requires equal totals; then every prefix satisfies ``|sum(alg) -
+    sum(opt)| <= b`` with ``b`` the largest single count among the items, and
+    the order is checked against that ``b``.  The first item is the lowest
+    id, after which the lowest eligible id is taken each round.
     """
     items = list(items)
     if sum(it[1] for it in items) != sum(it[2] for it in items):
         raise ValueError("alg and opt totals differ; pad before ordering")
-    for it in items:
-        if it[1] > bound or it[2] > bound:
-            raise ValueError(f"item {it[0]} exceeds the balance bound {bound}")
     remaining = sorted(items, key=lambda it: it[0])
     if not remaining:
         return []
+    bound = max(max(it[1], it[2]) for it in items)
     order = [remaining.pop(0)]
     gap = order[0][1] - order[0][2]
     while remaining:
@@ -369,7 +370,8 @@ def pad_opt(
     Each dummy sits at the center of a previously empty cell in the grid
     column nearest x=0, on rows descending from below ``min_y``; cell centers
     keep the dummies internal whenever the cell edge is at least 2.  Dummies
-    are never assigned points.
+    are never assigned points.  A ``grid_edge`` so large that a dummy center
+    leaves the float range raises :class:`EngineInvariantError`.
     """
     need = m - len(internal_opt_disks)
     if need < 0:
@@ -385,6 +387,10 @@ def pad_opt(
         cell = CellId(col, row)
         if cell not in taken:
             y = grid.offset_y + (row + 0.5) * grid.edge
+            if not math.isfinite(y):
+                raise EngineInvariantError(
+                    f"grid_edge {grid.edge!r} puts a padding dummy out of float range"
+                )
             dummies.append(UnitDisk(Point(x, y)))
             taken.add(cell)
         row -= 1
@@ -475,25 +481,14 @@ def find_valid_swap(state: EngineState, opt_sol: Solution) -> Swap:
         return (cell, len(records[cell].alg_disks), len(records[cell].opt_disks))
 
     cell_items = [counts(cell) for cell in sorted(records)]
-    cell_bound = max(
-        [cfg.cover_budget]
-        + [it[1] for it in cell_items]
-        + [it[2] for it in cell_items]
-    )
-    ordered = [counts(cell) for cell in prefix_balanced_order(cell_items, cell_bound)]
+    ordered = [counts(cell) for cell in prefix_balanced_order(cell_items)]
 
     blocks = make_blocks(ordered, cfg.block_min, cfg.block_max)
     if len(blocks) < 3 * cfg.kappa:
         return swap_all
 
     block_items = [(rank, b.alg_total, b.opt_total) for rank, b in enumerate(blocks)]
-    block_bound = max(
-        [cfg.balance_blocks]
-        + [it[1] for it in block_items]
-        + [it[2] for it in block_items]
-    )
-    block_order = prefix_balanced_order(block_items, block_bound)
-    ordered_blocks = [blocks[r] for r in block_order]
+    ordered_blocks = [blocks[r] for r in prefix_balanced_order(block_items)]
 
     stats = []
     for b in ordered_blocks:

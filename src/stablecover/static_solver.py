@@ -207,9 +207,11 @@ def _candidate_table(pts: list[Point]) -> tuple[list[Point], list[int]]:
 
 
 def _circles_through(p: Point, q: Point) -> list[Point]:
-    """Centers of the unit circles through two points at distance <= 2.
+    """Centers of the two unit circles through two points at distance <= 2.
 
-    The half-distance term is clamped at 1 so near-tangent pairs cannot produce
+    The points must be distinct, as both callers pair them, so the distance
+    is above 0: distinct doubles differ by a nonzero amount.  The
+    half-distance term is clamped at 1 so near-tangent pairs cannot produce
     a NaN, and the perpendicular offset is pulled in by at most a few ulps so
     that ``covers`` holds for both defining points, except when the offset is
     zero.  A pair exactly 2 apart in doubles, such as (0.3, 2.2) and (1.9, 1),
@@ -221,8 +223,6 @@ def _circles_through(p: Point, q: Point) -> list[Point]:
     dx = q.x - p.x
     dy = q.y - p.y
     d = math.hypot(dx, dy)
-    if d == 0.0:
-        return [Point(mx, my)]
     half2 = min((d / 2.0) ** 2, 1.0)
     h = math.sqrt(1.0 - half2)
     ux, uy = -dy / d, dx / d

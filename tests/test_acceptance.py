@@ -124,7 +124,7 @@ def test_criterion_5a_prefix_balanced_order():
             items.append((nid, 0, chunk) if diff > 0 else (nid, chunk, 0))
             diff += -chunk if diff > 0 else chunk
             nid += 1
-        order = prefix_balanced_order(items, bound)
+        order = prefix_balanced_order(items)
         lookup = {i: (a, o) for i, a, o in items}
         running = 0
         for ident in order:
@@ -153,7 +153,7 @@ def test_criterion_5b_block_creation():
             diff += -chunk if diff > 0 else chunk
             nid += 1
         balance = max(max(a, o) for _, a, o in items)
-        order = prefix_balanced_order(items, balance)
+        order = prefix_balanced_order(items)
         lookup = {i: (i, a, o) for i, a, o in items}
         ordered = [lookup[i] for i in order]
         blocks = make_blocks(ordered, block_min, block_max)

@@ -198,6 +198,11 @@ LINE_TRIPLE = "line 1 0 0\nline 0 1 0\nline 1 1 -1\n"
 # double above MAX_COORDINATE: the midpoint of the pair overflows.
 ABOVE_BOUND = math.nextafter(MAX_COORDINATE, math.inf)
 OVERFLOWING_PAIR = "insert {sign}8.98846567431158e+307 0\ninsert {sign}8.98846567431158e+307 1\n"
+# A 60-event stream whose first repair under the sparse scaled constants
+# reaches grid selection and the padding dummies.
+SPARSE_STREAM = "\n".join(gen_random(60, 8.0, seed=3, delete_prob=0.2)) + "\n"
+SPARSE_SCALED = ("c_star=1,trivial_threshold=0,kappa=2,extend=1,block_min=1,block_max=2,"
+                 "balance_cells=2,balance_blocks=4")
 
 
 @pytest.mark.parametrize(
@@ -256,6 +261,11 @@ OVERFLOWING_PAIR = "insert {sign}8.98846567431158e+307 0\ninsert {sign}8.9884656
         ),
         (["run", "--stream", "STREAM", "--engine", "greedy_hitting", "--epsilon", "1e-120"],
          LINE_TRIPLE),
+        *(
+            (["run", "--stream", "STREAM", "--m", "6", "--solver", "greedy",
+              "--scaled", f"{SPARSE_SCALED},{grid}"], SPARSE_STREAM)
+            for grid in (f"grid_shifts={10**18},grid_edge=4", "grid_shifts=2,grid_edge=1e308")
+        ),
     ],
     ids=["nan", "inf",
          *(f"above-bound-{engine}{sign}" for engine in POINT_ENGINES for sign in ("", "-neg")),
@@ -270,7 +280,8 @@ OVERFLOWING_PAIR = "insert {sign}8.98846567431158e+307 0\ninsert {sign}8.9884656
          "scaled-empty-key", "scaled-no-value", "scaled-repeated-key", "scaled-empty-value",
          "scaled-empty-item", "lower-bound-m-zero",
          "epsilon-cubed-underflows", "epsilon-least-subnormal", "c-star-401-digits",
-         "grid-shifts-401-digits", "greedy-hitting-epsilon-cubed-underflows"],
+         "grid-shifts-401-digits", "greedy-hitting-epsilon-cubed-underflows",
+         "grid-shifts-past-half-the-edge", "grid-edge-1e308-dummy-overflows"],
 )
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, stream_text):
     stream_path = tmp_path / "s.txt"
@@ -307,6 +318,18 @@ def test_epsilon_1e_100_replays(tmp_path):
     stream = tmp_path / "s.txt"
     stream.write_text("\n".join(gen_random(20, 4.0, seed=3, delete_prob=0.3)) + "\n")
     replay = ["--stream", str(stream), "--m", "2", "--epsilon", "1e-100"]
+    report = tmp_path / "r.csv"
+    assert main(["run", *replay, "--out", str(report)]) == 0
+    assert main(["verify", *replay, "--report", str(report)]) == 0
+
+
+def test_grid_shifts_1e18_replays(tmp_path):
+    """With 10**18 shifts per axis on grids of edge 2e18, grid selection
+    builds only the flags of the shifts its scan reaches."""
+    stream = tmp_path / "s.txt"
+    stream.write_text(SPARSE_STREAM)
+    replay = ["--stream", str(stream), "--m", "6", "--solver", "greedy",
+              "--scaled", f"{SPARSE_SCALED},grid_shifts={10**18}"]
     report = tmp_path / "r.csv"
     assert main(["run", *replay, "--out", str(report)]) == 0
     assert main(["verify", *replay, "--report", str(report)]) == 0

@@ -20,6 +20,7 @@ here, and a second CI step replays every recorded chunk; its script is run
 here over the first two chunks of each workload.
 """
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -212,6 +213,16 @@ def test_report_digest_unchanged(name):
 def test_scaled_stream_reaches_group_swap():
     branches = {row.split(",")[6] for row in report("sas-greedy-scaled").splitlines()[1:-1]}
     assert {"TrivialSwapAll", "GroupSwap"} <= branches
+
+
+@pytest.mark.parametrize("balance_blocks", [1, 10**6])
+def test_balance_blocks_is_inert(balance_blocks):
+    """No engine reads ``balance_blocks``: the m=32 replay, whose GroupSwap
+    rows run the block ordering, keeps its digest at any value."""
+    config, rows, digest = CASES["sas-greedy-m32"]
+    scaled = dict(config.scaled, balance_blocks=balance_blocks)
+    report = run(dataclasses.replace(config, scaled=scaled), parse_stream("\n".join(rows) + "\n"))
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name, per_triple", [("greedy-hitting-m9", 0), ("exact-hitting-m9", 1)])

@@ -37,7 +37,6 @@ def test_config_defaults_quarter_epsilon():
     assert cfg.block_min == 16
     assert cfg.block_max == (128 + 2) * 16
     assert cfg.balance_cells == 128 * 16
-    assert cfg.balance_blocks == (3 * 128 + 2) * 16
     assert cfg.extend == 6 * 128 + 4
     assert cfg.cover_budget == 2116  # ceil(64/sqrt(2))^2 beats 128/eps^2 here
 
@@ -57,6 +56,13 @@ def test_config_validation():
         EngineConfig(m=2, epsilon=0.25, c_star=10**400)
     with pytest.raises(ValueError, match="grid_shifts"):
         EngineConfig(m=2, epsilon=0.25, grid_shifts=10**400)
+    # Shifts lie in [0, grid_edge/2), as GridSpec states: the 32 shifts of
+    # epsilon 0.25 need an edge above 62.
+    for shifts, edge in ((3, 4.0), (10**18, 4.0), (None, 62.0)):
+        with pytest.raises(ValueError, match="grid_shifts"):
+            EngineConfig(m=2, epsilon=0.25, grid_shifts=shifts, grid_edge=edge)
+    assert EngineConfig(m=2, epsilon=0.25, grid_shifts=3, grid_edge=4.5).grid_shifts == 3
+    assert EngineConfig(m=2, epsilon=0.25, grid_edge=62.5).grid_shifts == 32
 
 
 # ---------------------------------------------------------------------------
@@ -64,11 +70,11 @@ def test_config_validation():
 
 
 def test_prefix_order_lowest_id_first():
-    assert prefix_balanced_order([("A", 3, 0), ("B", 0, 3)], 3) == ["A", "B"]
+    assert prefix_balanced_order([("A", 3, 0), ("B", 0, 3)]) == ["A", "B"]
 
 
 def test_prefix_order_single_item():
-    assert prefix_balanced_order([("A", 2, 2)], 2) == ["A"]
+    assert prefix_balanced_order([("A", 2, 2)]) == ["A"]
 
 
 def test_prefix_order_random_balanced():
@@ -89,7 +95,7 @@ def test_prefix_order_random_balanced():
             bound += 1
         items = list(enumerate(zip(algs, opts)))
         items = [(i, a, o) for i, (a, o) in items]
-        order = prefix_balanced_order(items, bound)
+        order = prefix_balanced_order(items)
         lookup = {it[0]: it for it in items}
         run = 0
         for ident in order:
@@ -99,7 +105,7 @@ def test_prefix_order_random_balanced():
 
 def test_prefix_order_rejects_unbalanced_totals():
     with pytest.raises(ValueError):
-        prefix_balanced_order([("A", 2, 1)], 5)
+        prefix_balanced_order([("A", 2, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +154,7 @@ def test_make_blocks_definition_bounds_random():
                 items.append((extra_id, chunk, 0))
                 diff += chunk
             extra_id += 1
-        order = prefix_balanced_order(items, balance)
+        order = prefix_balanced_order(items)
         lookup = {it[0]: it for it in items}
         ordered = [lookup[i] for i in order]
         blocks = make_blocks(ordered, block_min, block_max)
@@ -480,7 +486,7 @@ def test_block_ordering_range_imbalance():
             items.append((nid, 0, chunk) if diff > 0 else (nid, chunk, 0))
             diff += -chunk if diff > 0 else chunk
             nid += 1
-        order = prefix_balanced_order(items, bound)
+        order = prefix_balanced_order(items)
         lookup = {i: (a, o) for i, a, o in items}
         seq = [lookup[i] for i in order]
         for lo in range(len(seq)):
