@@ -35,6 +35,11 @@ from .static_solver import SolverBudgetError, SolverKind, solve
 
 REPORT_HEADER = "t,op,alg_value,opt_value,ratio,churn,branch"
 
+# The largest m that replays and generators take, far above the m <= 120
+# that any test, CI row or generator uses.  Every engine starts with m
+# parked disks, so a much larger m would fill memory before the first event.
+MAX_M = 10**5
+
 POINT_ENGINES = ("sas", "two_stable", "exact_maintainer")
 LINE_ENGINES = ("greedy_hitting", "exact_hitting")
 
@@ -141,6 +146,7 @@ def gen_random(n: int, bbox: float, seed: int, delete_prob: float = 0.0) -> list
 def gen_lower_bound(m: int) -> list[str]:
     """2m chain inserts plus the trigger that is adversarial for a canonical
     exact maintainer, which holds the prefix's canonical optimum by then."""
+    _check_m(m)
     prefix = chain_points(m)
     trigger = choose_trigger(m, solve(prefix, m).disks)
     return [format_point_event("insert", p) for p in prefix + [trigger]]
@@ -149,6 +155,7 @@ def gen_lower_bound(m: int) -> list[str]:
 def gen_lines(m: int, seed: int) -> list[str]:
     """Non-adaptive flattening of the schedule (the attachment side is fixed
     to L); the adaptive variant is available through the library API."""
+    _check_m(m)
     instance = build_line_instance(m, seed)
     rows = []
     for tri in instance.schedule_lines(instance.base_triples):
@@ -178,6 +185,10 @@ def _engine_config(config: RunConfig) -> EngineConfig:
 def _check(condition: bool, message: str) -> None:
     if not condition:
         raise HarnessError(message)
+
+
+def _check_m(m: int) -> None:
+    _check(1 <= m <= MAX_M, f"m must be from 1 to {MAX_M}, got {m}")
 
 
 def _row(t: int, op: str, alg: int, opt: int, churn: int, branch: str) -> str:
@@ -301,7 +312,7 @@ def run_lines(
 
 
 def run(config: RunConfig, stream: UpdateStream) -> str:
-    _check(config.m >= 1, "m must be at least 1")
+    _check_m(config.m)
     if stream.kind == "points":
         _check(config.engine in POINT_ENGINES, f"engine {config.engine} needs a line stream")
         rows = run_points(config, stream.point_events)

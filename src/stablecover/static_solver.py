@@ -14,14 +14,26 @@ phases run one branch and bound, :func:`_search`, which looks for the best
 union above a floor and returns at the first union that reaches a ceiling:
 the value search from 0 up to the union of all masks, and each of
 extraction's completion tests from one below the bits it needs up to them.
+
+A mask inside another never raises a union: the dominance reduction for set
+cover.  ``solve`` passes the point candidates' masks as :class:`PointMasks`,
+and over those both phases search only undominated masks.  The value search
+runs over the masks that no other mask contains (:func:`_maximal`).  The
+completion test at index ``j`` runs over the masks after ``j`` that no other
+mask after ``j`` contains, read from one table per extraction
+(:func:`_undominated_spans`).  Extraction still takes the first index that
+leaves a completion, so values and picks are the unreduced search's; only
+node counts fall.  The line side passes a plain list, whose masks are nearly
+all maximal, and searches every distinct mask.
+
 ``solve`` computes candidates, masks and the value eagerly; the returned
 :class:`Solution` builds its disks and assignment only when one of them is
 first read.  A caller that reads only ``value`` never runs extraction, so a
 value-only solve can succeed under a budget that both phases together
 exceed: on four draws of 200 uniform points in a 10x10 box at ``m=4`` the
-value search takes 27 to 12.6k nodes and extraction 4.1k to 13.3k.  The
-search is an explicit-stack loop whose depth is bounded by ``m``, never by
-the number of masks.
+value search takes 27 to 1.5k nodes and extraction 4.1k to 5.9k (12.6k and
+13.3k at most over every mask).  The search is an explicit-stack loop whose
+depth is bounded by ``m``, never by the number of masks.
 
 Candidates and masks come from one of two paths.  Called with the points,
 ``solve`` builds them from scratch in one table (:func:`_candidate_table`):
@@ -60,6 +72,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+from collections import defaultdict
 from enum import Enum
 from functools import reduce
 from itertools import accumulate
@@ -159,8 +172,8 @@ def candidate_disks(points: Iterable[Point]) -> list[UnitDisk]:
 
 def _candidate_table(pts: list[Point]) -> tuple[list[Point], list[int]]:
     """The candidate centers of sorted, distinct ``pts`` in
-    :func:`candidate_disks` order, and their masks with bit ``i`` for
-    ``pts[i]``: what ``coverage_masks(pts, ...)`` gives their disks.
+    :func:`candidate_disks` order, and their :class:`PointMasks` with bit
+    ``i`` for ``pts[i]``: what ``coverage_masks(pts, ...)`` gives their disks.
 
     The points are filed once, in one :func:`~stablecover.geometry.bit_grid`.
     A pair is tested only when its points' 2x2 buckets are equal or
@@ -193,7 +206,7 @@ def _candidate_table(pts: list[Point]) -> tuple[list[Point], list[int]]:
     pairs.sort()
 
     centers = list(pts)
-    masks = [1 << i for i in range(len(pts))]
+    masks = PointMasks(1 << i for i in range(len(pts)))
     seen = set(pts)
     for bit, qbit, p, q in pairs:
         if covered_bits(p, [(q, qbit)]):
@@ -203,7 +216,8 @@ def _candidate_table(pts: list[Point]) -> tuple[list[Point], list[int]]:
             if center not in seen:
                 seen.add(center)
                 centers.append(center)
-    return centers, masks + _window_masks(grid, centers[len(pts):])
+    masks += _window_masks(grid, centers[len(pts):])
+    return centers, masks
 
 
 def _circles_through(p: Point, q: Point) -> list[Point]:
@@ -286,6 +300,14 @@ def _ranked(masks: Iterable[int]) -> RankedMasks:
     return ranked
 
 
+class PointMasks(list):
+    """The coverage masks of point candidates, in candidate order.  Over
+    these the exact oracle searches only the masks that no other mask
+    contains.  A plain list, such as the line side's, is searched whole:
+    there 96-97% of the masks are maximal, and the filters would cost more
+    than they save."""
+
+
 class CandidateIndex:
     """The candidate disks of a changing point set, kept up to date per point.
 
@@ -340,10 +362,11 @@ class CandidateIndex:
         return p in self._slot
 
     def candidates(self) -> tuple[list[UnitDisk], list[int]]:
-        """The candidate disks in ``candidate_disks`` order and their masks."""
+        """The candidate disks in ``candidate_disks`` order and their
+        :class:`PointMasks`."""
         # A center first shows up at its smallest source.
         disks = list(dict.fromkeys(map(self._center_of.__getitem__, self._order)))
-        return disks, [self._mask[d] for d in disks]
+        return disks, PointMasks(self._mask[d] for d in disks)
 
     def ranked(self) -> RankedMasks:
         """The live disks' masks in greedy's start order, keyed by each
@@ -455,7 +478,8 @@ def max_coverage_masks(
     """The best union of ``m`` masks under the given oracle: its size now, and
     ``pick()`` for the chosen indices (at most ``min(m, len(masks))``).
 
-    Exact: the value search runs here over the distinct masks; ``pick()``
+    Exact: the value search runs here over the distinct masks (of
+    :class:`PointMasks`, only the maximal ones: :func:`_maximal`); ``pick()``
     extracts the lexicographically smallest optimal index set, ascending, from
     the full list (equal-coverage duplicates may appear in it), continuing the
     node count under the same ``node_budget``.  It takes each index in turn
@@ -467,7 +491,8 @@ def max_coverage_masks(
         value = nodes = 0
         if m > 0 and masks:
             total = reduce(or_, masks).bit_count()
-            value, _, nodes = _search(masks, m, 0, total, 0, node_budget)
+            searched = _maximal(masks) if isinstance(masks, PointMasks) else masks
+            value, _, nodes = _search(searched, m, 0, total, 0, node_budget)
         return value, lambda: _extract(masks, m, value, nodes, node_budget)
     value, indices = _greedy_masks(masks, m)
     return value, indices.copy
@@ -540,10 +565,18 @@ def _extract(
     without a search when ``slots - 1`` copies of the largest one after
     ``j`` fall short of ``need``.  The count continues from the ``nodes``
     phase 1 spent, under the same budget: one node per tested index, plus
-    the searches' nodes.  The budget counts search nodes only, not each
-    search's O(n log n) residual build, so it does not bound extraction's
-    wall time: 200 points in a 10x10 box at seed 2 (m=4, 4276 masks) take
-    13,252 nodes and about 1 s.
+    the searches' nodes.
+
+    Over :class:`PointMasks`, a completion test at ``j`` searches only the
+    masks after ``j`` that no other mask after ``j`` contains: the entries
+    of one :func:`_undominated_spans` table, built per extraction, with
+    ``sup <= j < last``.  A dominated mask never decides whether a
+    completion exists, so the walk takes the same indices.  The budget
+    counts search nodes only, not each test's residual build, a pass over
+    the later masks or the table: 200 points in a 10x10 box at seed 2 (m=4,
+    4276 masks, 2540 distinct, 557 table entries) take 4,877 nodes and
+    about 0.1 s, where the search over every later mask took 13,252 nodes
+    and 0.7 s.
     """
     if m <= 0 or not masks:
         return []
@@ -553,6 +586,7 @@ def _extract(
     union = 0
     suffix_max: list[int] | None = None  # [j]: the largest coverage in masks[j:]
     completion: list[int] = []  # later indices that complete the picks to ``best``
+    spans = _undominated_spans(masks) if isinstance(masks, PointMasks) else None
     for j in range(n):
         nodes += 1
         if nodes > node_budget:
@@ -565,20 +599,97 @@ def _extract(
             if slots == 1 or suffix_max is not None and (slots - 1) * suffix_max[j + 1] < need:
                 continue
             free = ~covered
-            residuals = [mk & free for mk in masks[j + 1:]]
+            if spans is None:
+                after = masks[j + 1:]
+            else:
+                later = spans[bisect.bisect_left(spans, (j + 1,)):]
+                after = [mk for _, sup, mk in later if sup <= j]
+            residuals = [mk & free for mk in after]
             _, found, nodes = _search(residuals, slots - 1, need - 1, need, nodes, node_budget)
             if found is None:
                 if suffix_max is None:
                     pops = map(int.bit_count, reversed(masks))
                     suffix_max = list(accumulate(pops, max, initial=0))[::-1]
                 continue
-            completion = sorted(j + 1 + residuals.index(mk) for mk in found)
+            completion = sorted(masks.index(after[residuals.index(mk)], j + 1) for mk in found)
         chosen.append(j)
         slots -= 1
         if not slots:
             return chosen
         union = covered
     raise SolverInvariantError("extraction must succeed once the optimum value is known")
+
+
+# Above this many distinct masks, the dominance filters below file each kept
+# mask under each of its bits, and test a mask only against the kept masks
+# filed under its lowest bit, which every mask that contains it has too; up
+# to it, they scan every kept mask, which costs less on a few masks.
+_SCAN_LIMIT = 64
+
+
+def _maximal(masks: list[int]) -> list[int]:
+    """The nonzero distinct masks that no other mask contains, by coverage
+    descending, ties by first occurrence.  Each mask is tested against the
+    masks kept before it: a mask that contains it has a larger coverage, and
+    is kept or inside a kept one."""
+    ordered = sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True)
+    kept: list[int] = []
+    union = 0  # of the kept masks
+    having = defaultdict(list) if len(ordered) > _SCAN_LIMIT else None
+    for mk in ordered:
+        if not mk & (mk - 1):  # zero or one bit: inside a kept mask iff their union has it
+            if mk & ~union:
+                kept.append(mk)
+                union |= mk
+            continue
+        for big in kept if having is None else having[mk & -mk]:
+            if not mk & ~big:
+                break
+        else:
+            kept.append(mk)
+            union |= mk
+            if having is not None:
+                _file(having, mk, mk)
+    return kept
+
+
+def _undominated_spans(masks: list[int]) -> list[tuple[int, int, int]]:
+    """``(last, sup, mask)``, ascending, for each nonzero distinct mask that,
+    for some index ``j`` before its last, no other mask after ``j`` contains:
+    ``last`` is its last index and ``sup`` the last index of a mask that
+    strictly contains it, or -1.  The masks after index ``j`` that no other
+    mask after ``j`` contains are those with ``sup <= j < last``.
+
+    As in :func:`_maximal`, each mask is tested against the entries kept
+    before it, by coverage descending.  That finds its ``sup``: the strict
+    superset that ends last has an entry, since a mask that left it out
+    would contain the mask too and end later."""
+    last = {mk: i for i, mk in enumerate(masks)}
+    ordered = sorted(last, key=int.bit_count, reverse=True)
+    spans: list[tuple[int, int, int]] = []
+    having = defaultdict(list) if len(ordered) > _SCAN_LIMIT else None
+    for mk in ordered:
+        if not mk:
+            break
+        sup = -1
+        for entry in spans if having is None else having[mk & -mk]:
+            if entry[0] > sup and not mk & ~entry[2]:
+                sup = entry[0]
+        if sup < last[mk]:
+            entry = (last[mk], sup, mk)
+            spans.append(entry)
+            if having is not None:
+                _file(having, mk, entry)
+    spans.sort()
+    return spans
+
+
+def _file(having: defaultdict[int, list], mk: int, entry: object) -> None:
+    """Append ``entry`` to the list of each bit of ``mk``."""
+    while mk:
+        low = mk & -mk
+        having[low].append(entry)
+        mk ^= low
 
 
 def _greedy_masks(masks: list[int] | RankedMasks, m: int) -> tuple[int, list]:

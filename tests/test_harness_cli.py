@@ -253,6 +253,13 @@ SPARSE_SCALED = ("c_star=1,trivial_threshold=0,kappa=2,extend=1,block_min=1,bloc
                          "trivial_threshold=9,")
         ),
         (["gen", "lower_bound", "--m", "0"], None),
+        (["run", "--stream", "STREAM", "--m", str(10**11)], "insert 1.0 1.0\n"),
+        (["verify", "--stream", "STREAM", "--m", str(10**11), "--report", "STREAM"],
+         "insert 1.0 1.0\n"),
+        (["run", "--stream", "STREAM", "--engine", "greedy_hitting", "--m", str(3 * 10**10)],
+         LINE_TRIPLE),
+        (["gen", "lower_bound", "--m", str(10**11)], None),
+        (["gen", "lines", "--m", str(3 * 10**10)], None),
         *(
             (["run", "--stream", "STREAM", *options], "insert 1.0 1.0\n")
             for options in (["--epsilon", "1e-120"], ["--epsilon", "5e-324"],
@@ -279,6 +286,8 @@ SPARSE_SCALED = ("c_star=1,trivial_threshold=0,kappa=2,extend=1,block_min=1,bloc
          "block-min-negative", "extend-negative",
          "scaled-empty-key", "scaled-no-value", "scaled-repeated-key", "scaled-empty-value",
          "scaled-empty-item", "lower-bound-m-zero",
+         "run-m-above-limit", "verify-m-above-limit", "line-run-m-above-limit",
+         "lower-bound-m-above-limit", "lines-m-above-limit",
          "epsilon-cubed-underflows", "epsilon-least-subnormal", "c-star-401-digits",
          "grid-shifts-401-digits", "greedy-hitting-epsilon-cubed-underflows",
          "grid-shifts-past-half-the-edge", "grid-edge-1e308-dummy-overflows"],

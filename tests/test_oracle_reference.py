@@ -19,6 +19,7 @@ import random
 from functools import reduce
 from itertools import accumulate, combinations
 from operator import or_
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,13 +30,16 @@ from stablecover.geometry import Point, assign_points
 from stablecover.harness_cli import RunConfig, format_point_event, parse_stream, run
 from stablecover.static_solver import (
     DEFAULT_NODE_BUDGET,
+    PointMasks,
     SolverBudgetError,
     SolverInvariantError,
     SolverKind,
     _budget_error,
     _extract,
     _greedy_masks,
+    _maximal,
     _search,
+    _undominated_spans,
     candidate_disks,
     coverage_masks,
     max_coverage_masks,
@@ -502,7 +506,10 @@ def test_one_search_matches_the_two_it_replaced(case):
     """Values, picks and extraction's node spend are the references'; phase 1
     spends ``reference_best_value``'s nodes when the optimum is below the
     union of all masks, and otherwise stops where the reference began to
-    drain its stack, one node per pending skip, that is per mask taken."""
+    drain its stack, one node per pending skip, that is per mask taken.
+    That is over a plain list, as the line side passes its masks.  Over the
+    same masks as :class:`PointMasks`, values and picks are the same, and
+    phase 1 spends what ``_search`` spends over the maximal masks."""
     masks, m = case
     value, pick = max_coverage_masks(masks, m)
     ref_value, ref_nodes = reference_best_value(masks, m, DEFAULT_NODE_BUDGET)
@@ -519,6 +526,80 @@ def test_one_search_matches_the_two_it_replaced(case):
         assert picks is None and nodes == ref_nodes
     else:
         assert nodes + len(picks or ()) == ref_nodes
+
+    point_masks = PointMasks(masks)
+    value, pick = max_coverage_masks(point_masks, m)
+    assert value == ref_value
+    assert pick() == reference_prefix_extract(masks, m, value, 0, DEFAULT_NODE_BUDGET)
+    nodes = smallest_budget(lambda b: max_coverage_masks(point_masks, m, node_budget=b))
+    assert nodes == _search(_maximal(masks), m, 0, union, 0, DEFAULT_NODE_BUDGET)[2]
+
+
+@st.composite
+def dominated_mask_lists(draw):
+    """:func:`mask_lists` with up to 8 copies and submasks of its masks
+    planted at drawn places, so that masks have strict supersets both before
+    and after them."""
+    masks, m = draw(mask_lists())
+    for _ in range(draw(st.integers(0, 8))):
+        mk = draw(st.sampled_from(masks))
+        planted = draw(st.sampled_from([mk, mk & draw(st.integers(0, mk))]))
+        masks.insert(draw(st.integers(0, len(masks))), planted)
+    return masks, m
+
+
+# Both ways the dominance filters find larger masks: a scan over the ones
+# kept so far (the lists here are below the limit), and buckets by bit,
+# which a limit of 0 forces.
+SCAN_LIMITS = (static_solver._SCAN_LIMIT, 0)
+
+
+@example(([3, 1, 3, 2, 0, 1], 2))
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(dominated_mask_lists())
+def test_dominance_filters_match_their_definitions(case):
+    """``_maximal`` keeps exactly the nonzero masks that no other mask
+    contains, in the value search's order.  ``_undominated_spans`` gives each
+    nonzero distinct mask its last index and the last index of a strict
+    superset, and keeps exactly the masks that some suffix leaves maximal."""
+    masks, _ = case
+
+    def inside(mk, others):
+        return any(mk != big and not mk & ~big for big in others)
+
+    distinct = set(masks) - {0}
+    ordered = sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True)
+    maximal = [mk for mk in ordered if mk in distinct and not inside(mk, distinct)]
+    spans = []
+    for mk in distinct:
+        last = max(i for i, big in enumerate(masks) if big == mk)
+        sup = max((i for i, big in enumerate(masks) if inside(mk, [big])), default=-1)
+        if sup < last:
+            spans.append((last, sup, mk))
+    for limit in SCAN_LIMITS:
+        with mock.patch.object(static_solver, "_SCAN_LIMIT", limit):
+            assert _maximal(masks) == maximal
+            assert _undominated_spans(masks) == sorted(spans)
+    for j in range(-1, len(masks)):
+        after = set(masks[j + 1:]) - {0}
+        kept = {mk for last, sup, mk in spans if sup <= j < last}
+        assert kept == {mk for mk in after if not inside(mk, after)}
+
+
+@example(([1, 3, 2, 3, 1], 2))
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(dominated_mask_lists())
+def test_reduced_oracle_matches_the_unreduced_references(case):
+    """Point masks reach the value search and extraction's completion tests
+    reduced to the masks no other one contains; the value and the picks are
+    still the unreduced references'."""
+    masks, m = case
+    value = reference_best_value(masks, m, DEFAULT_NODE_BUDGET)[0]
+    picks = reference_prefix_extract(masks, m, value, 0, DEFAULT_NODE_BUDGET)
+    for limit in SCAN_LIMITS:
+        with mock.patch.object(static_solver, "_SCAN_LIMIT", limit):
+            reduced, pick = max_coverage_masks(PointMasks(masks), m)
+            assert (reduced, pick()) == (value, picks)
 
 
 def test_search_meets_its_contract_by_brute_force():
@@ -589,9 +670,11 @@ def replay_dense_windows():
 
 
 def test_replayed_node_totals(monkeypatch):
-    """Over the same replays, the maintainer's solves spend 22,223 value
-    search nodes (24,623 before the search stopped at the union of all
-    masks) and 44,398 extraction nodes (unchanged)."""
+    """Over the same replays, the maintainer's solves spend 5,943 value
+    search nodes and 27,418 extraction nodes.  Before both searched only the
+    masks that no other mask contains, they spent 22,223 and 44,398 (and
+    24,623 value search nodes before the search stopped at the union of all
+    masks)."""
     totals = [0, 0]
 
     def counted(masks, m, best, nodes, node_budget):
@@ -601,7 +684,7 @@ def test_replayed_node_totals(monkeypatch):
 
     monkeypatch.setattr(static_solver, "_extract", counted)
     replay_dense_windows()
-    assert totals == [22_223, 44_398]
+    assert totals == [5_943, 27_418]
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,9 @@ from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_oracle_reference import reference_greedy_masks
+from test_oracle_reference import (
+    reference_best_value, reference_greedy_masks, reference_prefix_extract,
+)
 
 from stablecover.baseline import update2
 from stablecover.geometry import Point
@@ -209,6 +211,26 @@ def test_solve_of_an_index_matches_solve_of_its_points(events, m, kind):
             assert by_index.value == by_points.value
             assert by_index.disks == by_points.disks
             assert by_index.assignment == by_points.assignment
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(events=st.one_of(index_streams(), point_streams()), m=st.integers(1, 5))
+@example(events=SHARED_CENTER[:5], m=2)
+def test_reduced_index_solve_matches_the_unreduced_references(events, m):
+    """An exact solve over a candidate index searches only the masks that no
+    other mask contains; after every event its value is
+    ``reference_best_value``'s over the index's whole mask list, and its
+    disks start with the candidates ``reference_prefix_extract`` picks from
+    that list."""
+    index = CandidateIndex()
+    for op, p in events:
+        apply_event(index, op, p)
+        disks, masks = index.candidates()
+        value = reference_best_value(list(masks), m, DEFAULT_NODE_BUDGET)[0]
+        picks = reference_prefix_extract(list(masks), m, value, 0, DEFAULT_NODE_BUDGET)
+        solution = solve(index, m)
+        assert solution.value == value
+        assert solution.disks[:len(picks)] == [disks[i] for i in picks]
 
 
 class RolledBack(Exception):

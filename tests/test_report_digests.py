@@ -4,8 +4,9 @@ A change that must keep reports byte-identical keeps these digests.  The
 streams cover both SAS tolerances the tests use, the scaled pipeline up to
 ``GroupSwap`` and through all four scaled-mode fallbacks, a sparse 600-event
 stream at the benchmark's scaled constants through the greedy and the exact
-oracle, a repair-heavy 1200-event stream at m=32 on 8x8 shifted grids, the
-2-stable baseline, the exact maintainer (random, half-unit lattice and
+oracle, a 300-event stream in a 30x30 box whose exact optima need the
+dominance reduction, a repair-heavy 1200-event stream at m=32 on 8x8
+shifted grids, the 2-stable baseline, the exact maintainer (random, half-unit lattice and
 lower-bound streams), both of these through the greedy oracle at m=12 on a
 60-event stream, and the hitting maintainers on line streams (greedy at m 6, 9, 12 and 15, exact
 at m 6 and 9).  The generated line text at m 9, 12, 30, 60 and 120 has
@@ -106,6 +107,14 @@ CASES = {
         RunConfig(engine="sas", m=16, epsilon=0.25, solver=SolverKind.EXACT, scaled=SCALED),
         gen_random(600, 60.0, seed=5, delete_prob=0.3),
         "138784815e559807a3336045cf6e876e814c34fd7653532bdeb12ed0328b8d65",
+    ),
+    # A 30x30 box at m=16 through the exact oracle.  At t=111 the value
+    # search over every candidate mask took 9.4 M nodes, past the default
+    # budget; over the masks that no other mask contains, it takes 59 k.
+    "sas-exact-hard": (
+        RunConfig(engine="sas", m=16, solver=SolverKind.EXACT),
+        gen_random(300, 30.0, seed=0, delete_prob=0.2),
+        "179ddeceb0438f3f7372ad2af714c01b49dd8185efd0230b4ddf66e27cb1d7e1",
     ),
     # A repair-heavy stream at m=32 with 8x8 shifted grids of edge 16: 28
     # GroupSwap, 12 FewBlocksSwapAll and 11 TrivialSwapAll rows, from the
@@ -277,6 +286,22 @@ def test_exact_replay_never_ranks_its_index(name, monkeypatch):
     assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name", ["exact-hitting-m9", "greedy-hitting-m9"])
+def test_line_replay_takes_no_dominance_reduction(name, monkeypatch):
+    """Only point masks reach the exact oracle reduced to the masks no other
+    mask contains: with both dominance filters raising, the line replays
+    keep their digests."""
+
+    def refused(masks):
+        raise AssertionError("a line solve reduces its masks")
+
+    monkeypatch.setattr(static_solver, "_maximal", refused)
+    monkeypatch.setattr(static_solver, "_undominated_spans", refused)
+    config, rows, digest = CASES[name]
+    report = run(config, parse_stream("\n".join(rows) + "\n"))
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("m", sorted(GEN_LINES))
 def test_gen_lines_digest_unchanged(m):
     text = "\n".join(gen_lines(m, seed=1)) + "\n"
@@ -354,7 +379,8 @@ def _generated(args: str) -> list[str]:
 # The cases the pinned-replay step checks under ``python -O``.
 CI_REPLAYS = (
     "sas-eps-0.25", "two-stable",
-    "sas-greedy-fallbacks", "sas-greedy-sparse", "sas-exact-sparse", "sas-greedy-m32",
+    "sas-greedy-fallbacks", "sas-greedy-sparse", "sas-exact-sparse", "sas-exact-hard",
+    "sas-greedy-m32",
     "exact-maintainer-random", "exact-maintainer-greedy", "exact-maintainer-lower-bound",
     "two-stable-greedy",
     "exact-hitting-m9", "greedy-hitting-m9", "greedy-hitting-m15",

@@ -6,6 +6,7 @@ import pytest
 
 from stablecover.adversary.streams import ExactMaintainer
 from stablecover.geometry import Point, UnitDisk, covers
+from stablecover.harness_cli import gen_random, parse_stream
 from stablecover.static_solver import (
     SolverBudgetError,
     SolverKind,
@@ -147,6 +148,19 @@ def test_budget_error():
         solve(pts, 3, node_budget=5)
 
 
+def test_value_search_runs_over_maximal_masks():
+    """After the first 111 events of ``gen random --n 300 --bbox 30 --seed 0
+    --delete-prob 0.2``, 75 points are live.  Their 163 candidate masks hold
+    109 distinct ones, 59 of them maximal.  Over every mask the value search
+    at m=16 takes 9,421,440 nodes; over the maximal ones, 58,603."""
+    events = parse_stream("\n".join(gen_random(300, 30.0, seed=0, delete_prob=0.2)) + "\n")
+    live = set()
+    for op, p in events.point_events[:111]:
+        (live.add if op == "insert" else live.remove)(p)
+    assert len(live) == 75
+    assert solve(live, 16, node_budget=100_000).value == 37
+
+
 def lattice_points(seed):
     """16 draws on a 0.1 lattice in an 8.5x8.5 box."""
     rng = random.Random(seed)
@@ -155,8 +169,9 @@ def lattice_points(seed):
 
 @pytest.mark.parametrize("seed", [7, 16, 19])
 def test_dense_lattice_extracts_at_m8(seed):
-    # The value search takes 256 to 2973 nodes here; the depth-first
-    # extraction that prefix feasibility replaced ran past the 5M budget.
+    # The value search takes 32 to 217 nodes here over the maximal masks
+    # (248 to 2973 over every mask); the depth-first extraction that prefix
+    # feasibility replaced ran past the 5M budget.
     sol = solve(lattice_points(seed), 8)
     assert len(sol.disks) == 8
     assert len(sol.assignment) == sol.value
