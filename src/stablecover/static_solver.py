@@ -22,9 +22,13 @@ runs over the masks that no other mask contains (:func:`_maximal`).  The
 completion test at index ``j`` runs over the masks after ``j`` that no other
 mask after ``j`` contains, read from one table per extraction
 (:func:`_undominated_spans`).  Extraction still takes the first index that
-leaves a completion, so values and picks are the unreduced search's; only
-node counts fall.  The line side passes a plain list, whose masks are nearly
-all maximal, and searches every distinct mask.
+leaves a completion, so values and picks are the unreduced search's.  Node
+counts usually fall far, but not always: a completion test can find a
+different completion, one that lets the walk take fewer indices without a
+search, so an extraction can spend a few more nodes than over every mask,
+and one that fit ``node_budget`` there can exceed it here.  The line side
+passes a plain list, whose masks are nearly all maximal, and searches every
+distinct mask.
 
 ``solve`` computes candidates, masks and the value eagerly; the returned
 :class:`Solution` builds its disks and assignment only when one of them is
@@ -571,12 +575,18 @@ def _extract(
     masks after ``j`` that no other mask after ``j`` contains: the entries
     of one :func:`_undominated_spans` table, built per extraction, with
     ``sup <= j < last``.  A dominated mask never decides whether a
-    completion exists, so the walk takes the same indices.  The budget
-    counts search nodes only, not each test's residual build, a pass over
-    the later masks or the table: 200 points in a 10x10 box at seed 2 (m=4,
-    4276 masks, 2540 distinct, 557 table entries) take 4,877 nodes and
-    about 0.1 s, where the search over every later mask took 13,252 nodes
-    and 0.7 s.
+    completion exists, so the walk takes the same indices.  A completion
+    found is read at the first later indices with its residuals, over every
+    mask, as the unreduced walk reads it.  The search may still find a
+    different completion than over every mask, whose first index comes
+    later, so the walk runs more tests before its free take: of the 720
+    extractions in 30 dense sliding-window replays (``exact_maintainer``,
+    m=4) 18 spent more nodes than unreduced, at most 11 more, and 499 fewer,
+    27,112 nodes against 44,398 in all.  The budget counts search nodes
+    only, not each test's residual build, a pass over the later masks or
+    the table: 200 points in a 10x10 box at seed 2 (m=4, 4276 masks, 2540
+    distinct, 557 table entries) take 4,877 nodes and about 0.1 s, where
+    the search over every later mask took 13,252 nodes and 0.6 s.
     """
     if m <= 0 or not masks:
         return []
@@ -611,7 +621,9 @@ def _extract(
                     pops = map(int.bit_count, reversed(masks))
                     suffix_max = list(accumulate(pops, max, initial=0))[::-1]
                 continue
-            completion = sorted(masks.index(after[residuals.index(mk)], j + 1) for mk in found)
+            if spans is not None:  # read the completion at its first indices over every mask
+                residuals = [mk & free for mk in masks[j + 1:]]
+            completion = sorted(j + 1 + residuals.index(mk) for mk in found)
         chosen.append(j)
         slots -= 1
         if not slots:
@@ -623,8 +635,18 @@ def _extract(
 # Above this many distinct masks, the dominance filters below file each kept
 # mask under each of its bits, and test a mask only against the kept masks
 # filed under its lowest bit, which every mask that contains it has too; up
-# to it, they scan every kept mask, which costs less on a few masks.
-_SCAN_LIMIT = 64
+# to it, they scan every kept mask.  Timed per call on the candidate masks of
+# uniform points at 0.4, 0.083 and 0.042 points per unit area (min of 7,
+# 2 CPUs, Python 3.11): up to 31 distinct masks the scan was faster, or
+# within 10%, on every list (9-21 masks: _maximal 4.5-8.5 us against 8.3-15);
+# from 47 on, the buckets were faster for the span table on every list and
+# for both filters at the two sparser densities (47-63 masks: _maximal 26-35
+# us against 34-67, the table 34-47 against 61-112), while _maximal's scan
+# stayed up to 1.4 times faster at 0.4 up to 78 masks; in between, each
+# path won on some lists.  The limit sits at the top of that band, so the
+# 8-point dense windows (at 0.4, at most 42 distinct masks over 30 seeds)
+# always scan, and 150-point sparse windows (160-180) always file.
+_SCAN_LIMIT = 47
 
 
 def _maximal(masks: list[int]) -> list[int]:
@@ -634,20 +656,15 @@ def _maximal(masks: list[int]) -> list[int]:
     is kept or inside a kept one."""
     ordered = sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True)
     kept: list[int] = []
-    union = 0  # of the kept masks
     having = defaultdict(list) if len(ordered) > _SCAN_LIMIT else None
     for mk in ordered:
-        if not mk & (mk - 1):  # zero or one bit: inside a kept mask iff their union has it
-            if mk & ~union:
-                kept.append(mk)
-                union |= mk
-            continue
+        if not mk:
+            break
         for big in kept if having is None else having[mk & -mk]:
             if not mk & ~big:
                 break
         else:
             kept.append(mk)
-            union |= mk
             if having is not None:
                 _file(having, mk, mk)
     return kept

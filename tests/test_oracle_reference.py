@@ -671,7 +671,7 @@ def replay_dense_windows():
 
 def test_replayed_node_totals(monkeypatch):
     """Over the same replays, the maintainer's solves spend 5,943 value
-    search nodes and 27,418 extraction nodes.  Before both searched only the
+    search nodes and 27,112 extraction nodes.  Before both searched only the
     masks that no other mask contains, they spent 22,223 and 44,398 (and
     24,623 value search nodes before the search stopped at the union of all
     masks)."""
@@ -684,7 +684,34 @@ def test_replayed_node_totals(monkeypatch):
 
     monkeypatch.setattr(static_solver, "_extract", counted)
     replay_dense_windows()
-    assert totals == [5_943, 27_418]
+    assert totals == [5_943, 27_112]
+
+
+@pytest.mark.parametrize(
+    "masks, m, reduced_nodes, unreduced_nodes",
+    [
+        # Each reduced search finds the unreduced one's residuals, but from
+        # undominated masks that come later than the first index with each
+        # residual; the walk reads them at that first index, as unreduced.
+        ([7, 32, 24, 7, 68, 2, 36, 7, 0, 68, 68, 7], 3, 6, 6),
+        ([9, 4, 0, 2, 2, 4, 5], 6, 11, 11),
+        ([10, 19, 16, 26, 8, 11, 10, 10, 3, 9, 7, 27, 30], 16, 32, 32),
+        # After mask 0, mask 1 (9) is inside mask 6 (29), so the reduced
+        # search meets the 2-bit residuals in another order and finds 10 and
+        # 3 (indices 3 and 4) where the unreduced one finds 9 and 10
+        # (indices 1 and 3): indices 1 and 2 each take a search.
+        ([20, 9, 12, 10, 23, 23, 29, 21, 28, 22, 9, 28, 21, 2], 4, 11, 9),
+    ],
+)
+def test_reduced_extraction_nodes(masks, m, reduced_nodes, unreduced_nodes):
+    """Extraction over point masks spends what it spends over every mask
+    when its searches find the same completions, and can spend more when
+    they find others."""
+    value = max_coverage_masks(masks, m)[0]
+    picks = _extract(masks, m, value, 0, DEFAULT_NODE_BUDGET)
+    assert _extract(PointMasks(masks), m, value, 0, DEFAULT_NODE_BUDGET) == picks
+    assert smallest_budget(lambda b: _extract(PointMasks(masks), m, value, 0, b)) == reduced_nodes
+    assert smallest_budget(lambda b: _extract(masks, m, value, 0, b)) == unreduced_nodes
 
 
 @pytest.mark.parametrize(
